@@ -44,10 +44,8 @@ struct FlowState {
   // Solver bookkeeping owned by FluidSim (see "Incremental max-min
   // solver" in DESIGN.md). `member_pos[h]` is this flow's slot in the
   // persistent member list of `path[h]`, enabling O(1) swap-removal on
-  // completion; `freeze_epoch` marks the solve in which the flow's rate
-  // was last frozen, replacing a per-solve `is_frozen` bitmap.
+  // completion.
   std::vector<std::uint32_t> member_pos;  ///< Parallel to `path`.
-  std::uint64_t freeze_epoch = 0;
 };
 
 /// Per-link counters accumulated by the simulator; the physical-layer

@@ -1,10 +1,10 @@
 #include "net/fluid_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "net/shard_solver.h"
 #include "obs/metrics.h"
@@ -15,15 +15,18 @@ namespace astral::net {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Min-heap on (share, link); ties break on link id so the freeze order —
-// and therefore the floating-point accumulation order — is deterministic.
-struct HeapCmp {
-  bool operator()(const std::pair<double, topo::LinkId>& a,
-                  const std::pair<double, topo::LinkId>& b) const {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second > b.second;
+// Runs one solve; with a histogram attached, records its wall time there.
+template <typename Solve>
+void timed_solve(obs::Histogram* hist, Solve&& solve) {
+  if (hist == nullptr) {
+    solve();
+    return;
   }
-};
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
+  solve();
+  hist->record(std::chrono::duration<double, std::micro>(clock::now() - t0).count());
+}
 }  // namespace
 
 FluidSim::FluidSim(topo::Fabric& fabric, Config cfg, std::uint64_t seed)
@@ -39,32 +42,18 @@ FluidSim::FluidSim(topo::Fabric& fabric, Config cfg, std::uint64_t seed)
   link_overload_.assign(nlinks, 0.0);
   link_rate_.assign(nlinks, 0.0);
   members_.resize(nlinks);
-  touch_epoch_.assign(nlinks, 0);
-  remcap_.assign(nlinks, 0.0);
-  unfrozen_.assign(nlinks, 0);
   is_live_.assign(nlinks, 0);
   mark_epoch_.assign(nlinks, 0);
   mark_count_.assign(nlinks, 0);
-  changed_epoch_mark_.assign(nlinks, 0);
   shard_ = std::make_unique<ShardSolver>(*this);
 }
 
 FluidSim::~FluidSim() = default;
 
-void FluidSim::set_shard_domains(std::vector<std::int32_t> domains) {
-  shard_->set_domains(std::move(domains));
-}
-
 std::size_t FluidSim::solver_shard_count() const { return shard_->shard_count(); }
-
-std::uint64_t FluidSim::solver_reconcile_passes() const {
-  return shard_->reconcile_passes();
-}
 
 void FluidSim::debug_set_epoch_counters(std::uint64_t value) {
   mark_epoch_counter_ = value;
-  solve_epoch_ = value;
-  changed_epoch_ = value;
   shard_->debug_set_epoch_counter(value);
 }
 
@@ -182,119 +171,14 @@ void FluidSim::set_metrics(obs::Metrics* metrics) {
   solve_hist_ = metrics ? &metrics->histogram("fluidsim.solve_us") : nullptr;
 }
 
-void FluidSim::fill_and_freeze(std::span<const FlowId> subset) {
-  using clock = std::chrono::steady_clock;
-  const auto solve_t0 = solve_hist_ ? clock::now() : clock::time_point{};
-  if (++solve_epoch_ == 0) {
-    // Wrapped: reset both stamp families keyed by this counter.
-    std::fill(touch_epoch_.begin(), touch_epoch_.end(), 0);
-    for (FlowState& f : flows_) f.freeze_epoch = 0;
-    solve_epoch_ = 1;
-  }
-  touched_scratch_.clear();
-  for (FlowId id : subset) {
-    FlowState& f = flows_[id];
-    f.rate = 0.0;
-    // Offered demand at each hop is the prefix-min of upstream link
-    // capacities: a degraded downlink sees traffic arriving at full
-    // upstream rate, which is what triggers PFC back-pressure.
-    double prefix = kInf;
-    for (topo::LinkId l : f.path) {
-      if (touch_epoch_[l] != solve_epoch_) {
-        touch_epoch_[l] = solve_epoch_;
-        remcap_[l] = effcap_[l];
-        unfrozen_[l] = 0;
-        link_demand_[l] = 0.0;
-        link_rate_[l] = 0.0;
-        touched_scratch_.push_back(l);
-        if (!is_live_[l]) {
-          is_live_[l] = 1;
-          live_links_.push_back(l);
-        }
-      }
-      unfrozen_[l] += 1;
-      const double cap_l = effcap_[l];
-      link_demand_[l] += prefix == kInf ? cap_l : prefix;
-      prefix = std::min(prefix, cap_l);
-    }
-  }
-
-  heap_.clear();
-  for (topo::LinkId l : touched_scratch_) {
-    const double cap = effcap_[l];
-    link_overload_[l] =
-        cap > 0 ? link_demand_[l] / cap : (link_demand_[l] > 0 ? 1e9 : 0.0);
-    stats_[l].peak_overload = std::max(stats_[l].peak_overload, link_overload_[l]);
-    if (unfrozen_[l] > 0) heap_.emplace_back(share_of(l), l);
-  }
-  std::make_heap(heap_.begin(), heap_.end(), HeapCmp{});
-
-  // Progressive filling: repeatedly freeze the most constrained link's
-  // members at its fair share. The heap is lazy — links whose
-  // remcap/unfrozen changed during a level get one fresh entry each
-  // (deduplicated via an epoch-stamped set, so a wave of 10K flows
-  // crossing 500 links pushes 500 entries, not 50K), and popped entries
-  // whose share no longer matches the link's current value are discarded.
-  std::size_t frozen = 0;
-  while (frozen < subset.size() && !heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-    const auto [share, l] = heap_.back();
-    heap_.pop_back();
-    if (unfrozen_[l] == 0) continue;
-    if (share != share_of(l)) continue;  // stale: a newer entry exists
-    const double level = std::isfinite(share) ? share : 0.0;
-    if (++changed_epoch_ == 0) {
-      std::fill(changed_epoch_mark_.begin(), changed_epoch_mark_.end(), 0);
-      changed_epoch_ = 1;
-    }
-    changed_scratch_.clear();
-    for (const Member m : members_[l]) {
-      FlowState& f = flows_[m.flow];
-      if (f.freeze_epoch == solve_epoch_) continue;
-      f.freeze_epoch = solve_epoch_;
-      ++frozen;
-      f.rate = level;
-      for (topo::LinkId pl : f.path) {
-        remcap_[pl] -= level;
-        unfrozen_[pl] -= 1;
-        link_rate_[pl] += level;
-        if (changed_epoch_mark_[pl] != changed_epoch_) {
-          changed_epoch_mark_[pl] = changed_epoch_;
-          changed_scratch_.push_back(pl);
-        }
-      }
-    }
-    for (topo::LinkId pl : changed_scratch_) {
-      if (pl == l || unfrozen_[pl] == 0) continue;
-      heap_.emplace_back(share_of(pl), pl);
-      std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
-    }
-  }
-  if (solve_hist_) {
-    solve_hist_->record(
-        std::chrono::duration<double, std::micro>(clock::now() - solve_t0).count());
-  }
-}
-
 void FluidSim::solve_full() {
   if (metrics_) metrics_->add("fluidsim.solves.full");
-  if (cfg_.sharding) {
-    // The sharded engine publishes rates and link state itself; record
-    // one "fluidsim.solve_us" sample per full solve, matching the
-    // monolithic path's cadence exactly (snapshot counts are golden).
-    using clock = std::chrono::steady_clock;
-    const auto t0 = solve_hist_ ? clock::now() : clock::time_point{};
-    shard_->solve();
-    solve_pending_ = false;
-    if (solve_hist_) {
-      solve_hist_->record(
-          std::chrono::duration<double, std::micro>(clock::now() - t0).count());
-    }
-    return;
-  }
-  clear_live();
-  fill_and_freeze(active_);
+  timed_solve(solve_hist_, [this] { shard_->solve(); });
   solve_pending_ = false;
+}
+
+void FluidSim::finish_pending_solve() {
+  if (solve_pending_ && !active_.empty()) solve_full();
 }
 
 void FluidSim::resolve_rates() { solve_full(); }
@@ -375,12 +259,15 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
         // Arrivals land on links nobody else uses: solve just the wave,
         // existing water-filling levels stay valid.
         if (metrics_) metrics_->add("fluidsim.solves.island");
-        fill_and_freeze(admitted_batch_);
+        timed_solve(solve_hist_, [this] { shard_->solve_island(admitted_batch_); });
       } else {
         solve_pending_ = true;
       }
     }
-    if (!watch.empty() && all_finished(watch)) return;
+    if (!watch.empty() && all_finished(watch)) {
+      finish_pending_solve();
+      return;
+    }
     if (active_.empty()) {
       if (pending_.empty()) {
         if (is_bounded(until) && now_ < until) now_ = until;
@@ -477,7 +364,10 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
         }
       }
     }
-    if (now_ >= until) return;
+    if (now_ >= until) {
+      finish_pending_solve();
+      return;
+    }
   }
 }
 

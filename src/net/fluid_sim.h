@@ -13,20 +13,20 @@
 //   * per-hop latency = base switching delay + a queue term that grows
 //     with overload, feeding the INT pingmesh monitors (Fig. 9c).
 //
-// The rate solver is incremental and allocation-free in steady state:
-// per-link membership is maintained by delta as flows arrive and finish,
-// scratch state lives in flat epoch-stamped arrays (no hashing, no
-// clearing), bottleneck selection uses a lazy min-heap, and events whose
-// link footprint is disjoint from the rest of the active set bypass the
-// global refill entirely. See DESIGN.md ("Incremental max-min solver");
-// src/net/maxmin_ref.{h,cpp} retains the naive solver as the equivalence
-// oracle.
+// Rates come from one solver, net::ShardSolver (shard_solver.h), which
+// splits the active set into independent bottleneck components and
+// progressive-fills each with a lazy min-heap. Around it the simulator is
+// incremental and allocation-free in steady state: per-link membership is
+// maintained by delta as flows arrive and finish, an arrival wave whose
+// links carry no other flows is solved on its own (an island), and a
+// completion wave that shared no link with the survivors needs no solve
+// at all. See DESIGN.md §6 and §11; src/net/maxmin_ref.{h,cpp} retains the
+// naive solver as the equivalence oracle.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -61,16 +61,12 @@ struct FluidSimConfig {
   /// Completions within this window collapse into one rate update;
   /// symmetric collectives otherwise trigger quadratic recomputation.
   core::Seconds completion_epsilon = 1e-9;
-  /// Full solves go through the pod-sharded engine (see shard_solver.h):
-  /// connected bottleneck components solve independently over cached
-  /// structure. Bit-identical to the monolithic path; off = legacy solver.
-  bool sharding = true;
   /// Worker lanes for shard solves (1 = inline, no threads spawned).
   /// Rates are bit-identical across any thread count.
   int solver_threads = 1;
-  /// Emit per-shard solve spans/counters/histogram when a tracer or
-  /// metrics registry is attached. Off by default so traces and metric
-  /// snapshots are byte-identical to the pre-sharding solver's.
+  /// Emit per-shard solve spans/counters/histogram for full solves when a
+  /// tracer or metrics registry is attached. Off by default, which keeps
+  /// wall-clock shard timings out of golden traces and metric snapshots.
   bool shard_telemetry = false;
 };
 
@@ -192,21 +188,12 @@ class FluidSim {
   void set_metrics(obs::Metrics* metrics);
   obs::Metrics* metrics() const { return metrics_; }
 
-  /// Installs per-link locality domains for the sharded solver (see
-  /// parallel::link_locality_domains): links with domain -1 are relaxed
-  /// out of shard discovery and reconciled sequentially. Empty vector
-  /// restores exact connected-component sharding (the default).
-  void set_shard_domains(std::vector<std::int32_t> domains);
-
-  /// Shards used by the most recent sharded solve (0 before any, or when
-  /// cfg.sharding is off).
+  /// Shards used by the most recent full or island solve (0 before any).
   std::size_t solver_shard_count() const;
-  /// Lifetime reconciliation passes forced by saturated boundary links.
-  std::uint64_t solver_reconcile_passes() const;
 
-  /// Test hook: fast-forwards every internal epoch counter (island-mark,
-  /// solve, changed-set, shard-build) so tests can exercise the
-  /// wraparound reset paths without 2^64 solves.
+  /// Test hook: fast-forwards both internal epoch counters (island-mark,
+  /// shard-build) so tests can exercise the wraparound reset paths
+  /// without 2^64 solves.
   void debug_set_epoch_counters(std::uint64_t value);
 
  private:
@@ -229,12 +216,9 @@ class FluidSim {
   /// set keeps its water-filling levels.
   bool batch_is_island(std::span<const FlowId> batch);
   void solve_full();
-  /// Progressive filling over `subset` only; existing published rates on
-  /// other links stay valid (caller guarantees the subset is an island).
-  void fill_and_freeze(std::span<const FlowId> subset);
-  double share_of(topo::LinkId l) const {
-    return remcap_[l] > 0 ? remcap_[l] / static_cast<double>(unfrozen_[l]) : 0.0;
-  }
+  /// Runs the full solve a run deferred, before run_impl returns with
+  /// flows still active, so rates sampled between runs are current.
+  void finish_pending_solve();
   void publish_zero(topo::LinkId l);
   void clear_live();
   /// Integrates stats over [accumulated_until_, t] at current rates.
@@ -263,24 +247,15 @@ class FluidSim {
 
   // --- incremental solver state ---
   std::vector<std::vector<Member>> members_;  ///< Per-link active flows.
-  std::uint64_t solve_epoch_ = 0;
-  std::vector<std::uint64_t> touch_epoch_;  ///< Last solve touching link.
-  std::vector<double> remcap_;              ///< Unallocated capacity.
-  std::vector<std::uint32_t> unfrozen_;     ///< Members not yet frozen.
   std::vector<char> is_live_;               ///< Link in live_links_.
   std::vector<topo::LinkId> live_links_;    ///< Links with published state.
-  std::vector<topo::LinkId> touched_scratch_;  ///< Links seen this solve.
-  std::vector<std::pair<double, topo::LinkId>> heap_;  ///< Lazy min-heap.
   std::uint64_t mark_epoch_counter_ = 0;    ///< For batch_is_island.
   std::vector<std::uint64_t> mark_epoch_;
   std::vector<std::uint32_t> mark_count_;
-  std::uint64_t changed_epoch_ = 0;  ///< Dedupes heap pushes per level.
-  std::vector<std::uint64_t> changed_epoch_mark_;
-  std::vector<topo::LinkId> changed_scratch_;
   std::vector<FlowId> admitted_batch_;   ///< Arrival staging (reused).
   std::vector<FlowId> completed_batch_;  ///< Completion staging (reused).
   bool solve_pending_ = false;  ///< Active rates stale; full solve due.
-  std::unique_ptr<ShardSolver> shard_;  ///< Sharded full-solve engine.
+  std::unique_ptr<ShardSolver> shard_;  ///< The max-min solver.
 
   // --- observability (null = disabled; hooks cost one branch) ---
   obs::Tracer* tracer_ = nullptr;

@@ -1,7 +1,6 @@
 #include "net/shard_solver.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -18,7 +17,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Min-heap on (share, local link); local ids ascend with global ids, so
 // tie-breaks — and therefore the freeze order and floating-point
-// accumulation order — match the global solver's (share, link id) heap.
+// accumulation order — follow the global (share, link id) order.
 struct LocalHeapCmp {
   bool operator()(const std::pair<double, std::uint32_t>& a,
                   const std::pair<double, std::uint32_t>& b) const {
@@ -30,42 +29,22 @@ struct LocalHeapCmp {
 
 ShardSolver::ShardSolver(FluidSim& sim) : sim_(sim) {
   const std::size_t nlinks = sim_.fabric_.topo().link_count();
-  pinned_.assign(nlinks, 0);
   uf_stamp_.assign(nlinks, 0);
   uf_parent_.assign(nlinks, 0);
   root_stamp_.assign(nlinks, 0);
   root_shard_.assign(nlinks, 0);
   seen_stamp_.assign(nlinks, 0);
-  link_shard_.assign(nlinks, -1);
+  link_shard_.assign(nlinks, 0);
   link_local_.assign(nlinks, 0);
-  boundary_slot_.assign(nlinks, 0);
 }
 
 ShardSolver::~ShardSolver() = default;
-
-void ShardSolver::invalidate_caps() {
-  caps_valid_ = false;
-  if (relaxing()) {
-    // What saturates depends on capacities: drop the learned pins and let
-    // reconciliation re-derive them against the new capacity profile.
-    std::fill(pinned_.begin(), pinned_.end(), 0);
-    structure_valid_ = false;
-  }
-}
-
-void ShardSolver::set_domains(std::vector<std::int32_t> domains) {
-  assert(domains.empty() || domains.size() == pinned_.size());
-  domains_ = std::move(domains);
-  std::fill(pinned_.begin(), pinned_.end(), 0);
-  structure_valid_ = false;
-  caps_valid_ = false;
-}
 
 void ShardSolver::bump_build_epoch() {
   if (++build_epoch_ == 0) {
     // Wrapped: stale stamps from 2^64 builds ago could alias the counter.
     // Reset every stamp array and restart the counter above the reset
-    // value (see the matching guards in FluidSim for the solve epochs).
+    // value (see the matching guard in FluidSim::batch_is_island).
     std::fill(uf_stamp_.begin(), uf_stamp_.end(), 0);
     std::fill(root_stamp_.begin(), root_stamp_.end(), 0);
     std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
@@ -81,41 +60,18 @@ std::uint32_t ShardSolver::uf_find(std::uint32_t x) {
   return x;
 }
 
-void ShardSolver::rebuild_structure() {
-  const auto& active = sim_.active_;
+void ShardSolver::rebuild_structure(std::span<const FlowId> flows, bool republish) {
   bump_build_epoch();
   const std::uint64_t e = build_epoch_;
   if (flow_local_.size() < sim_.flows_.size()) {
     flow_local_.resize(sim_.flows_.size());
   }
 
-  // A flow whose entire path is relaxed links would belong to no shard
-  // and get no rate; pin its links so it lands in one. (Cannot happen on
-  // the built fabrics — the first hop is always a pod-local NIC uplink —
-  // but user-supplied domain tables must not break the solver.)
-  if (relaxing()) {
-    for (FlowId f : active) {
-      const auto& path = sim_.flows_[f].path;
-      if (path.empty()) continue;
-      bool has_internal = false;
-      for (topo::LinkId l : path) {
-        if (!is_boundary(l)) {
-          has_internal = true;
-          break;
-        }
-      }
-      if (!has_internal) {
-        for (topo::LinkId l : path) pinned_[l] = 1;
-      }
-    }
-  }
-
-  // Union-find over each flow's internal links: two links share a shard
-  // iff some flow couples them (possibly through relaxed hops between).
-  for (FlowId f : active) {
+  // Union-find over each flow's links: two links share a shard iff some
+  // chain of flows couples them.
+  for (FlowId f : flows) {
     std::uint32_t prev = topo::kInvalidLink;
     for (topo::LinkId l : sim_.flows_[f].path) {
-      if (is_boundary(l)) continue;
       if (uf_stamp_[l] != e) {
         uf_stamp_[l] = e;
         uf_parent_[l] = l;
@@ -129,23 +85,17 @@ void ShardSolver::rebuild_structure() {
     }
   }
 
-  // Shard ids by first appearance in the active order: thread-count-
-  // independent and stable for a given active set.
+  // Shard ids by first appearance in the input order: thread-count-
+  // independent and stable for a given input.
   nshards_ = 0;
   unsharded_.clear();
-  for (FlowId f : active) {
-    topo::LinkId first = topo::kInvalidLink;
-    for (topo::LinkId l : sim_.flows_[f].path) {
-      if (!is_boundary(l)) {
-        first = l;
-        break;
-      }
-    }
-    if (first == topo::kInvalidLink) {
+  for (FlowId f : flows) {
+    const auto& path = sim_.flows_[f].path;
+    if (path.empty()) {
       unsharded_.push_back(f);  // stranded: no path, rate pinned to zero
       continue;
     }
-    const std::uint32_t r = uf_find(first);
+    const std::uint32_t r = uf_find(path.front());
     if (root_stamp_[r] != e) {
       root_stamp_[r] = e;
       if (shards_.size() <= nshards_) shards_.emplace_back();
@@ -159,12 +109,11 @@ void ShardSolver::rebuild_structure() {
     s.flows.push_back(f);
   }
 
-  // Collect per-shard links and relaxed links, and rebuild the published
-  // live-link list in first-touch active order — exactly the order the
-  // global fill_and_freeze would produce, which golden traces observe.
-  boundary_links_.clear();
-  sim_.clear_live();
-  for (FlowId f : active) {
+  // Collect per-shard links and extend the published live-link list in
+  // first-touch input order, which golden traces observe (stats
+  // accumulation walks it).
+  if (republish) sim_.clear_live();
+  for (FlowId f : flows) {
     for (topo::LinkId l : sim_.flows_[f].path) {
       if (!sim_.is_live_[l]) {
         sim_.is_live_[l] = 1;
@@ -172,15 +121,9 @@ void ShardSolver::rebuild_structure() {
       }
       if (seen_stamp_[l] == e) continue;
       seen_stamp_[l] = e;
-      if (is_boundary(l)) {
-        boundary_slot_[l] = static_cast<std::uint32_t>(boundary_links_.size());
-        boundary_links_.push_back(l);
-        link_shard_[l] = -1;
-      } else {
-        const std::uint32_t sid = root_shard_[uf_find(l)];
-        link_shard_[l] = static_cast<std::int32_t>(sid);
-        shards_[sid].links.push_back(l);
-      }
+      const std::uint32_t sid = root_shard_[uf_find(l)];
+      link_shard_[l] = sid;
+      shards_[sid].links.push_back(l);
     }
   }
 
@@ -196,9 +139,7 @@ void ShardSolver::rebuild_structure() {
     s.path_lnk.clear();
     for (FlowId f : s.flows) {
       s.path_off.push_back(static_cast<std::uint32_t>(s.path_lnk.size()));
-      for (topo::LinkId l : sim_.flows_[f].path) {
-        if (!is_boundary(l)) s.path_lnk.push_back(link_local_[l]);
-      }
+      for (topo::LinkId l : sim_.flows_[f].path) s.path_lnk.push_back(link_local_[l]);
     }
     s.path_off.push_back(static_cast<std::uint32_t>(s.path_lnk.size()));
 
@@ -225,7 +166,7 @@ void ShardSolver::rebuild_structure() {
   }
 }
 
-void ShardSolver::rebuild_caps() {
+void ShardSolver::rebuild_caps(std::span<const FlowId> flows) {
   for (std::size_t si = 0; si < nshards_; ++si) {
     Shard& s = shards_[si];
     for (std::size_t li = 0; li < s.links.size(); ++li) {
@@ -233,23 +174,16 @@ void ShardSolver::rebuild_caps() {
     }
     std::fill(s.demand.begin(), s.demand.end(), 0.0);
   }
-  boundary_demand_.assign(boundary_links_.size(), 0.0);
-  boundary_overload_.resize(boundary_links_.size());
 
-  // Offered demand at each hop is the prefix-min of upstream capacities
-  // (same model as fill_and_freeze); accumulating in active order makes
-  // the cached sums bit-identical to the global solver's per-solve sums.
-  for (FlowId f : sim_.active_) {
+  // Offered demand at each hop is the prefix-min of upstream link
+  // capacities: a degraded downlink sees traffic arriving at full
+  // upstream rate, which is what triggers PFC back-pressure. Sums
+  // accumulate in input order, so they do not depend on the partition.
+  for (FlowId f : flows) {
     double prefix = kInf;
     for (topo::LinkId l : sim_.flows_[f].path) {
       const double cap_l = sim_.effcap_[l];
-      const double contrib = prefix == kInf ? cap_l : prefix;
-      if (link_shard_[l] >= 0) {
-        Shard& s = shards_[static_cast<std::size_t>(link_shard_[l])];
-        s.demand[link_local_[l]] += contrib;
-      } else {
-        boundary_demand_[boundary_slot_[l]] += contrib;
-      }
+      shards_[link_shard_[l]].demand[link_local_[l]] += prefix == kInf ? cap_l : prefix;
       prefix = std::min(prefix, cap_l);
     }
   }
@@ -270,12 +204,6 @@ void ShardSolver::rebuild_caps() {
           static_cast<std::uint32_t>(li));
     }
     std::make_heap(s.heap0.begin(), s.heap0.end(), LocalHeapCmp{});
-  }
-  for (std::size_t bi = 0; bi < boundary_links_.size(); ++bi) {
-    const double cap = sim_.effcap_[boundary_links_[bi]];
-    boundary_overload_[bi] =
-        cap > 0 ? boundary_demand_[bi] / cap
-                : (boundary_demand_[bi] > 0 ? 1e9 : 0.0);
   }
 }
 
@@ -299,9 +227,11 @@ void ShardSolver::solve_shard(Shard& s, bool timed) {
                : 0.0;
   };
 
-  // Progressive filling, dense-local mirror of fill_and_freeze: freeze
-  // the most constrained link's members at its fair share; changed links
-  // get one fresh heap entry per level; stale entries are discarded.
+  // Progressive filling: freeze the most constrained link's members at
+  // its fair share. The heap is lazy — links whose remcap/unfrozen changed
+  // during a level get one fresh entry each (a wave of 10K flows crossing
+  // 500 links pushes 500 entries, not 50K), and popped entries whose share
+  // no longer matches the link's current value are discarded.
   std::size_t frozen_count = 0;
   while (frozen_count < nf && !s.heap.empty()) {
     std::pop_heap(s.heap.begin(), s.heap.end(), LocalHeapCmp{});
@@ -356,9 +286,7 @@ void ShardSolver::solve_shard(Shard& s, bool timed) {
   }
 }
 
-void ShardSolver::run_shards() {
-  const bool timed = sim_.cfg_.shard_telemetry &&
-                     (sim_.metrics_ != nullptr || sim_.tracer_ != nullptr);
+void ShardSolver::run_shards(bool timed) {
   const int threads = sim_.cfg_.solver_threads;
   if (threads > 1 && nshards_ > 1) {
     if (!pool_ || pool_->lanes() != threads) {
@@ -370,38 +298,13 @@ void ShardSolver::run_shards() {
   } else {
     for (std::size_t i = 0; i < nshards_; ++i) solve_shard(shards_[i], timed);
   }
+  for (FlowId f : unsharded_) sim_.flows_[f].rate = 0.0;
 }
 
-std::size_t ShardSolver::reconcile_boundary() {
-  std::size_t new_pins = 0;
-  for (std::size_t bi = 0; bi < boundary_links_.size(); ++bi) {
-    const topo::LinkId g = boundary_links_[bi];
-    double sum = 0.0;
-    for (const auto& m : sim_.members_[g]) sum += sim_.flows_[m.flow].rate;
-    sim_.link_demand_[g] = boundary_demand_[bi];
-    sim_.link_overload_[g] = boundary_overload_[bi];
-    sim_.link_rate_[g] = sum;
-    double& peak = sim_.stats_[g].peak_overload;
-    if (boundary_overload_[bi] > peak) peak = boundary_overload_[bi];
-    // Saturated relaxed link: its constraint was binding after all. Pin
-    // it internal (merging the shards it couples) and re-solve. The
-    // threshold tolerates float noise on exactly-full links; over-
-    // pinning only costs parallelism, never correctness.
-    const double cap = sim_.effcap_[g];
-    if (sum > cap * (1.0 + 1e-11) + 1e-3 && !pinned_[g]) {
-      pinned_[g] = 1;
-      ++new_pins;
-    }
-  }
-  return new_pins;
-}
-
-void ShardSolver::emit_telemetry(std::size_t passes) {
-  if (!sim_.cfg_.shard_telemetry) return;
+void ShardSolver::emit_telemetry() {
   if (sim_.metrics_ != nullptr) {
     sim_.metrics_->add("fluidsim.solves.sharded");
     sim_.metrics_->add("fluidsim.shards.solved", nshards_);
-    if (passes > 0) sim_.metrics_->add("fluidsim.reconcile.passes", passes);
     sim_.metrics_->set_gauge("fluidsim.shards", static_cast<double>(nshards_));
     obs::Histogram& h = sim_.metrics_->histogram("fluidsim.shard_solve_us");
     for (std::size_t si = 0; si < nshards_; ++si) {
@@ -421,27 +324,26 @@ void ShardSolver::emit_telemetry(std::size_t passes) {
 }
 
 void ShardSolver::solve() {
-  std::size_t passes = 0;
-  while (true) {
-    if (!structure_valid_) {
-      rebuild_structure();
-      rebuild_caps();
-      structure_valid_ = true;
-      caps_valid_ = true;
-    } else if (!caps_valid_) {
-      rebuild_caps();
-      caps_valid_ = true;
-    }
-    run_shards();
-    for (FlowId f : unsharded_) sim_.flows_[f].rate = 0.0;
-    if (!relaxing()) break;
-    const std::size_t pins = reconcile_boundary();
-    if (pins == 0) break;
-    structure_valid_ = false;
-    ++passes;
+  if (!structure_valid_) {
+    rebuild_structure(sim_.active_, /*republish=*/true);
+    rebuild_caps(sim_.active_);
+    structure_valid_ = true;
+    caps_valid_ = true;
+  } else if (!caps_valid_) {
+    rebuild_caps(sim_.active_);
+    caps_valid_ = true;
   }
-  reconcile_passes_ += passes;
-  emit_telemetry(passes);
+  const bool telemetry = sim_.cfg_.shard_telemetry &&
+                         (sim_.metrics_ != nullptr || sim_.tracer_ != nullptr);
+  run_shards(telemetry);
+  if (telemetry) emit_telemetry();
+}
+
+void ShardSolver::solve_island(std::span<const FlowId> wave) {
+  rebuild_structure(wave, /*republish=*/false);
+  rebuild_caps(wave);
+  structure_valid_ = false;  // the shards now describe the wave only
+  run_shards(/*timed=*/false);
 }
 
 }  // namespace astral::net

@@ -1,46 +1,35 @@
-// Pod-sharded parallel max-min engine behind FluidSim::resolve_rates.
+// The max-min rate engine behind FluidSim: every full solve and every
+// island wave goes through it.
 //
 // The active constraint graph (links as vertices, "some flow crosses
 // both" as edges) decomposes along the fabric's locality structure:
 // rail-aligned traffic never leaves its rail subgraph, pod-local traffic
 // never leaves its pod. This engine discovers the connected bottleneck
-// components with a union-find over the active flows' paths, compiles
+// components with a union-find over the input flows' paths, compiles
 // each component into a dense shard-local CSR problem (local link ids,
 // contiguous path and member arrays, per-shard arenas), and solves the
 // shards independently — concurrently on a core::ThreadPool when
-// configured, or inline. Progressive filling inside a shard is the same
-// algorithm as FluidSim::fill_and_freeze, so shard rates are bit-
-// identical to the global solve: heap pops are value-ordered with ties
-// broken on link id (local ids are assigned in ascending global-id
-// order), demand accumulates in active-set order, and freeze order
-// mirrors the persistent member lists. Because every shard is a function
-// of its own inputs only, results are also bit-identical across thread
-// counts.
+// configured, or inline. Progressive filling inside a shard freezes links
+// in (share, link id) heap order: local link ids ascend with global ids,
+// demand accumulates in input order, and freeze order mirrors the
+// persistent member lists. Every shard is a function of its own inputs
+// only, so rates are bit-identical across thread counts, and an island
+// wave solved alone gets exactly the rates a full solve would give it.
 //
-// Two cache tiers make repeated solves cheap: the *structure* tier
+// Two cache tiers make repeated full solves cheap: the *structure* tier
 // (partition, CSRs, live-link list) is invalidated by membership changes
 // (admission, completion, abort, reroute); the *capacity* tier (per-link
 // caps, offered demand, overloads, the initial heap — all pure functions
 // of structure + effective capacities) is invalidated by degradations.
 // A clean re-solve only replays the freeze loop over cached arenas and
-// allocates nothing.
-//
-// Optional boundary relaxation (install domains via set_domains, seeded
-// from parallel::link_locality_domains): links marked -1 (core tier /
-// cross-pod) are dropped from the union-find so shards stay pod-sized
-// even when traffic crosses pods. After the shards solve, a sequential
-// reconciliation pass checks each relaxed link; one that saturates is
-// pinned as internal (sticky until capacities change), the partition
-// rebuilds, and the shards re-solve — each pass pins at least one link,
-// so the loop terminates and the fixed point satisfies every constraint.
-// By the bottleneck characterization of max-min fairness the fixed point
-// is exact (see DESIGN.md "Pod-sharded parallel solver"); rates agree
-// with the reference solver to floating-point tolerance rather than
-// bit-for-bit, which is why relaxation is opt-in.
+// allocates nothing. An island solve compiles the wave's shards over the
+// same arenas; they describe the wave only, so the structure tier stays
+// invalid afterwards.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -68,24 +57,20 @@ class ShardSolver {
   void invalidate_structure() { structure_valid_ = false; }
 
   /// Effective capacities changed: demand/overload/initial-heap caches
-  /// must be rebuilt; boundary pins reset (what saturates may differ).
-  void invalidate_caps();
+  /// must be rebuilt at the next solve.
+  void invalidate_caps() { caps_valid_ = false; }
 
-  /// Installs per-link locality domains (-1 = boundary) and enables
-  /// boundary relaxation + reconciliation. Empty vector disables (exact
-  /// connected-component sharding, the default).
-  void set_domains(std::vector<std::int32_t> domains);
-
-  /// Full sharded max-min solve over the simulator's active set; leaves
-  /// published link state and flow rates exactly as the global
-  /// fill_and_freeze would (bit-identical without domains).
+  /// Full max-min solve over the simulator's active set: publishes every
+  /// active flow's rate and rebuilds the published per-link view.
   void solve();
 
-  /// Shards used by the most recent solve (0 before any).
+  /// Solves an arrival wave whose links carry no other flows (see
+  /// FluidSim::batch_is_island): publishes the wave's rates and appends
+  /// its links to the published view; every other published value stays.
+  void solve_island(std::span<const FlowId> wave);
+
+  /// Shards used by the most recent full or island solve (0 before any).
   std::size_t shard_count() const { return nshards_; }
-  /// Lifetime reconciliation passes (re-solves forced by a saturated
-  /// boundary link).
-  std::uint64_t reconcile_passes() const { return reconcile_passes_; }
 
   /// Test hook for the epoch-wraparound guard: fast-forwards the build
   /// counter so the next builds exercise the wrap reset path.
@@ -93,17 +78,16 @@ class ShardSolver {
 
  private:
   /// One connected bottleneck component, compiled to dense local form.
-  /// Local link ids ascend with global ids (tie-breaks match the global
-  /// solver); local flow ids follow active-set order.
+  /// Local link ids ascend with global ids (deterministic tie-breaks);
+  /// local flow ids follow input order.
   struct Shard {
-    std::vector<FlowId> flows;            ///< Global ids, active order.
+    std::vector<FlowId> flows;            ///< Global ids, input order.
     std::vector<topo::LinkId> links;      ///< Global ids, ascending.
-    // Path CSR: per local flow, the local ids of its internal links in
-    // hop order (boundary links are excluded from the shard problem).
+    // Path CSR: per local flow, the local ids of its links in hop order.
     std::vector<std::uint32_t> path_off;
     std::vector<std::uint32_t> path_lnk;
     // Member CSR: per local link, local flow ids mirroring the order of
-    // FluidSim::members_ (freeze order must match the global solver).
+    // FluidSim::members_ (the freeze order).
     std::vector<std::uint32_t> mem_off;
     std::vector<std::uint32_t> mem_flow;
     // Capacity tier: pure functions of structure + effective caps.
@@ -124,33 +108,25 @@ class ShardSolver {
     double solve_us = 0.0;  ///< Wall time of the last solve (telemetry).
   };
 
-  bool relaxing() const { return !domains_.empty(); }
-  /// True when `l` is excluded from the shard graph this build.
-  bool is_boundary(topo::LinkId l) const {
-    return relaxing() && domains_[l] < 0 && !pinned_[l];
-  }
-
   void bump_build_epoch();
   std::uint32_t uf_find(std::uint32_t x);
-  void rebuild_structure();
-  void rebuild_caps();
-  void run_shards();
+  /// Partitions `flows` into shards and compiles them. A full solve
+  /// (`republish`) rebuilds the published live-link list in first-touch
+  /// order; an island appends its new links to it instead.
+  void rebuild_structure(std::span<const FlowId> flows, bool republish);
+  void rebuild_caps(std::span<const FlowId> flows);
+  /// Solves and publishes every shard; flows with no path get rate 0.
+  void run_shards(bool timed);
   void solve_shard(Shard& s, bool timed);
-  /// Publishes relaxed links and pins saturated ones; returns the number
-  /// of new pins (0 = converged).
-  std::size_t reconcile_boundary();
-  void emit_telemetry(std::size_t passes);
+  void emit_telemetry();
 
   FluidSim& sim_;
   bool structure_valid_ = false;
   bool caps_valid_ = false;
 
-  std::vector<std::int32_t> domains_;  ///< Empty = exact sharding.
-  std::vector<char> pinned_;           ///< Boundary links forced internal.
-
   std::vector<Shard> shards_;  ///< Reused across builds; only nshards_ live.
   std::size_t nshards_ = 0;
-  std::vector<FlowId> unsharded_;  ///< Active flows with no path (stranded).
+  std::vector<FlowId> unsharded_;  ///< Input flows with no path (stranded).
 
   // Build-time scratch, all epoch-stamped so builds never clear arrays.
   std::uint64_t build_epoch_ = 0;
@@ -159,17 +135,9 @@ class ShardSolver {
   std::vector<std::uint64_t> root_stamp_;  ///< Root assigned a shard id.
   std::vector<std::uint32_t> root_shard_;
   std::vector<std::uint64_t> seen_stamp_;  ///< Link collected this build.
-  std::vector<std::int32_t> link_shard_;   ///< Owning shard per link.
+  std::vector<std::uint32_t> link_shard_;  ///< Owning shard per link.
   std::vector<std::uint32_t> link_local_;  ///< Local id within its shard.
   std::vector<std::uint32_t> flow_local_;  ///< Local id within its shard.
-
-  // Relaxed links active this build, in first-touch active-set order.
-  std::vector<topo::LinkId> boundary_links_;
-  std::vector<std::uint32_t> boundary_slot_;  ///< Per link, slot index.
-  std::vector<double> boundary_demand_;
-  std::vector<double> boundary_overload_;
-
-  std::uint64_t reconcile_passes_ = 0;
 
   std::unique_ptr<core::ThreadPool> pool_;  ///< Lazily created.
 };

@@ -38,6 +38,11 @@ struct Scenario {
   Manifestation manifestation;
 };
 
+// Print a scenario by name. gtest's fallback dumps the struct's bytes,
+// which puts the address of the name literal (randomised per process)
+// into the listed test names.
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << sc.name; }
+
 // The diagnose_failure scenario table plus the two causes the example
 // leaves to tests (LinkFlap, WireConnection) and the healthy baseline.
 const Scenario kScenarios[] = {

@@ -1,12 +1,12 @@
 // Regression test for epoch-counter wraparound. The solver's scratch
 // state is keyed by monotonically increasing epoch stamps (island marks,
-// solve touches, per-level changed sets, shard-structure builds) that
-// are never cleared in steady state. When a counter wraps to zero, a
-// stamp written 2^64 increments ago could alias the new epoch and
-// corrupt a solve; each counter therefore carries an explicit reset
-// path. debug_set_epoch_counters() fast-forwards every counter so a few
-// waves push them across the wrap, and the simulator must behave
-// bitwise-identically to a twin that never wrapped.
+// shard-structure builds) that are never cleared in steady state. When
+// a counter wraps to zero, a stamp written 2^64 increments ago could
+// alias the new epoch and corrupt a solve; each counter therefore
+// carries an explicit reset path. debug_set_epoch_counters()
+// fast-forwards every counter so a few waves push them across the wrap,
+// and the simulator must behave bitwise-identically to a twin that
+// never wrapped.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,8 +33,8 @@ topo::FabricParams fabric_params() {
 }
 
 // A schedule that exercises every counter several times: disjoint waves
-// (island fast path → mark epochs), overlapping waves (full solves →
-// solve/changed/build epochs), and a mid-run degradation (caps rebuild).
+// (island path → mark and build epochs), overlapping waves (full solves →
+// build epochs), and a mid-run degradation (caps rebuild).
 std::vector<std::vector<double>> run_schedule(FluidSim& sim,
                                               const topo::Fabric& fabric) {
   auto hosts = fabric.topo().hosts();
@@ -92,26 +92,6 @@ TEST(EpochWrap, SolveAcrossWrapMatchesUnwrappedTwin) {
           << "checkpoint " << s << " flow " << i << ": " << want[s][i]
           << " vs " << got[s][i];
     }
-  }
-}
-
-// Same property for the legacy monolithic solver, whose island-mark and
-// changed-set stamps wrap independently of the sharded engine's.
-TEST(EpochWrap, LegacySolverAcrossWrapMatchesUnwrappedTwin) {
-  FluidSimConfig cfg;
-  cfg.sharding = false;
-  topo::Fabric fabric_a(fabric_params());
-  topo::Fabric fabric_b(fabric_params());
-  FluidSim normal(fabric_a, cfg, /*seed=*/5);
-  FluidSim wrapping(fabric_b, cfg, /*seed=*/5);
-  wrapping.debug_set_epoch_counters(std::numeric_limits<std::uint64_t>::max() - 3);
-
-  const auto want = run_schedule(normal, fabric_a);
-  const auto got = run_schedule(wrapping, fabric_b);
-
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t s = 0; s < want.size(); ++s) {
-    ASSERT_EQ(want[s], got[s]) << "checkpoint " << s;
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string_view>
+#include <vector>
 
 #include "core/units.h"
 #include "obs/metrics.h"
@@ -277,6 +279,47 @@ TEST(FluidSim, RunWatchSharesBandwidthWithBackground) {
   EXPECT_NEAR(sim.flow(watched).finish, shared, shared * 0.05);
 }
 
+// The QP rate monitor and the INT view sample between runs, so a run that
+// returns on a completion must publish the post-completion solution. Both
+// returns that leave flows active are covered: run_watch's, and a bounded
+// run whose deadline is the completion instant.
+TEST(FluidSim, RatesAreFreshWhenARunEndsOnACompletion) {
+  topo::FabricParams p;
+  p.rails = 2;
+  p.hosts_per_block = 2;
+  p.pods = 1;
+  topo::Fabric f(p);
+  const int dst = p.rails * p.hosts_per_block;  // next block, rail 0
+  auto bg = make_spec(f, 0, dst, 64_GiB, 1);
+  auto small = make_spec(f, 0, dst, 8_MiB, 2);
+  bg.src_port = small.src_port = 7777;  // identical 5-tuple hash: same path
+
+  FluidSim::Config cfg;
+  auto expect_fresh = [&](const FluidSim& sim, FlowId b, FlowId s) {
+    ASSERT_GE(sim.flow(s).finish, 0.0);
+    ASSERT_EQ(sim.flow(b).path, sim.flow(s).path);
+    const auto& path = sim.flow(b).path;
+    double line_rate = sim.effective_capacity(path.front());
+    for (topo::LinkId l : path) line_rate = std::min(line_rate, sim.effective_capacity(l));
+    EXPECT_EQ(sim.current_rate(b), line_rate);
+    EXPECT_EQ(sim.hop_latency(path.front()), cfg.base_hop_latency);
+  };
+
+  FluidSim watched(f, cfg);
+  const FlowId wb = watched.inject(bg);
+  const FlowId ws = watched.inject(small);
+  const std::vector<FlowId> watch{ws};
+  watched.run_watch(watch);
+  expect_fresh(watched, wb, ws);
+
+  FluidSim bounded(f, cfg);
+  const FlowId bb = bounded.inject(bg);
+  const FlowId bs = bounded.inject(small);
+  bounded.run(watched.flow(ws).finish);
+  EXPECT_EQ(bounded.now(), watched.flow(ws).finish);
+  expect_fresh(bounded, bb, bs);
+}
+
 TEST(FluidSim, IdleFabricReportsNoPhantomQueueing) {
   auto f = small_fabric();
   FluidSim::Config cfg;
@@ -444,8 +487,8 @@ TEST(FluidSim, DeterministicAcrossRuns) {
 }
 
 // Shard telemetry is opt-in: with cfg.shard_telemetry the sharded solver
-// reports per-shard spans on the Link track plus shard/reconcile
-// counters and a per-shard solve-time histogram.
+// reports per-shard spans on the Link track plus shard counters and a
+// per-shard solve-time histogram.
 TEST(FluidSim, ShardTelemetryEmitsSpansAndCounters) {
   auto f = small_fabric();
   FluidSimConfig cfg;
@@ -474,9 +517,9 @@ TEST(FluidSim, ShardTelemetryEmitsSpansAndCounters) {
   EXPECT_GT(sim.solver_shard_count(), 1u);
 }
 
-// With telemetry off (the default), the sharded solver must add nothing
-// to the registry beyond what the monolithic solver records — metric
-// snapshots and traces stay byte-identical to pre-sharding fixtures.
+// With telemetry off (the default), the solver adds no per-shard entries
+// to the registry or the trace, so metric snapshots and golden traces
+// carry no wall-clock shard timings.
 TEST(FluidSim, ShardTelemetryOffAddsNoMetrics) {
   auto f = small_fabric();
   FluidSim sim(f);

@@ -1,29 +1,45 @@
-// Bit-identity contract of the pod-sharded solver (see shard_solver.h):
-// for the default exact component sharding, rates must be *bitwise*
-// equal — not merely close — to the pre-sharding monolithic solver, and
-// across every thread count. With boundary relaxation the rates may
-// differ from the monolithic solver in the last ulps (different
-// floating-point evaluation order across reconciliation passes), but
-// they must still be bitwise reproducible across thread counts.
+// Bit-identity contract of the max-min solver (see shard_solver.h): rates
+// must be *bitwise* reproducible — not merely close — across every
+// thread count and across repeated runs, and they must match a checked-in
+// observation of the same script, so a change that moves any published
+// value by one ulp fails here rather than drifting silently.
 //
 // One deterministic scenario script (waves of same-pod and cross-pod
 // flows on an oversubscribed AstralSameRail fabric, with mid-run
 // degradations, a link flap, and an abort) is replayed into identically
-// seeded simulators that differ only in solver configuration; flow
-// rates, hop latencies (capturing published per-link overloads) and
-// final byte counters are compared exactly.
+// seeded simulators that differ only in solver lane count; flow rates,
+// hop latencies (capturing published per-link overloads) and final byte
+// counters are compared exactly.
+//
+// The fixture holds the observation as hex doubles. Intentional changes
+// regenerate it with one command:
+//
+//   GOLDEN_REGEN=1 ./build/tests/net_sharded_determinism_test
+//
+// then commit the updated tests/fixtures/solver_script.golden.txt.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
 #include "core/units.h"
 #include "net/fluid_sim.h"
-#include "parallel/shard_seed.h"
 
 namespace astral::net {
 namespace {
+
+// Injected by tests/CMakeLists.txt; points at the source-tree fixtures.
+#ifndef GOLDEN_FIXTURE_DIR
+#error "GOLDEN_FIXTURE_DIR must be defined"
+#endif
+
+const char* kFixturePath = GOLDEN_FIXTURE_DIR "/solver_script.golden.txt";
 
 using core::Seconds;
 
@@ -45,17 +61,15 @@ struct Observation {
 };
 
 // Replays the fixed script into a fresh simulator and records everything
-// the solver publishes. `domains` enables boundary relaxation.
-Observation run_script(const FluidSimConfig& cfg, bool domains) {
+// the solver publishes.
+Observation run_script(const FluidSimConfig& cfg) {
   topo::Fabric fabric(fabric_params());
   FluidSim sim(fabric, cfg, /*seed=*/42);
-  if (domains) sim.set_shard_domains(parallel::link_locality_domains(fabric));
   auto hosts = fabric.topo().hosts();
   const std::size_t nhosts = hosts.size();
   core::Rng rng(99);
 
-  // Six waves: even waves stay inside a pod (shardable), odd waves cross
-  // pods (boundary traffic under relaxation).
+  // Six waves: even waves stay inside a pod, odd waves cross pods.
   std::vector<FlowId> tracked;
   for (int w = 0; w < 6; ++w) {
     std::vector<FlowSpec> specs;
@@ -134,33 +148,92 @@ void expect_same(const Observation& a, const Observation& b) {
   expect_bitwise(a.bytes_forwarded, b.bytes_forwarded, "bytes", -1);
 }
 
-TEST(ShardedDeterminism, ExactShardingMatchesLegacyBitwise) {
-  FluidSimConfig legacy;
-  legacy.sharding = false;
-  const Observation base = run_script(legacy, /*domains=*/false);
-  const Observation sharded = run_script(FluidSimConfig{}, /*domains=*/false);
-  expect_same(base, sharded);
+// Fixture text: one line per vector, a label then the values as hex
+// doubles (printf %a), which round-trip exactly and keep the sign of zero.
+void write_line(std::ostream& out, const std::string& label,
+                const std::vector<double>& values) {
+  out << label;
+  char buf[40];
+  for (double v : values) {
+    std::snprintf(buf, sizeof buf, " %a", v);
+    out << buf;
+  }
+  out << '\n';
 }
 
-TEST(ShardedDeterminism, ExactShardingIsThreadCountInvariant) {
-  const Observation t1 = run_script(FluidSimConfig{}, /*domains=*/false);
-  for (int threads : {2, 4, 8}) {
+std::string to_text(const Observation& o) {
+  std::ostringstream out;
+  out << "# solver script observation: rates, hop latencies, bytes (hex doubles)\n";
+  for (std::size_t s = 0; s < o.rates.size(); ++s) {
+    write_line(out, "rates." + std::to_string(s), o.rates[s]);
+    write_line(out, "latencies." + std::to_string(s), o.latencies[s]);
+  }
+  write_line(out, "bytes", o.bytes_forwarded);
+  return out.str();
+}
+
+// Parses to_text's format back; returns false on a malformed document.
+bool from_text(const std::string& text, Observation& o) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string label;
+    fields >> label;
+    std::vector<double> values;
+    for (std::string tok; fields >> tok;) {
+      char* end = nullptr;
+      values.push_back(std::strtod(tok.c_str(), &end));
+      if (end == tok.c_str() || *end != '\0') return false;
+    }
+    if (label.rfind("rates.", 0) == 0) {
+      o.rates.push_back(std::move(values));
+    } else if (label.rfind("latencies.", 0) == 0) {
+      o.latencies.push_back(std::move(values));
+    } else if (label == "bytes") {
+      o.bytes_forwarded = std::move(values);
+    } else {
+      return false;
+    }
+  }
+  return o.rates.size() == o.latencies.size() && !o.rates.empty();
+}
+
+bool regen_requested() {
+  const char* env = std::getenv("GOLDEN_REGEN");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+// The script's observation is pinned to the checked-in fixture at 1 and
+// 4 lanes (thread-count invariance below covers 2 and 8).
+TEST(ShardedDeterminism, ScriptMatchesCheckedInFixture) {
+  if (regen_requested()) {
+    std::ofstream(kFixturePath) << to_text(run_script(FluidSimConfig{}));
+    GTEST_LOG_(INFO) << "regenerated " << kFixturePath;
+  }
+  std::ifstream in(kFixturePath);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  Observation golden;
+  ASSERT_TRUE(from_text(buf.str(), golden))
+      << "missing or malformed fixture " << kFixturePath
+      << " — regenerate with GOLDEN_REGEN=1 ./net_sharded_determinism_test";
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " solver lanes");
     FluidSimConfig cfg;
     cfg.solver_threads = threads;
-    const Observation tn = run_script(cfg, /*domains=*/false);
-    expect_same(t1, tn);
+    expect_same(golden, run_script(cfg));
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(ShardedDeterminism, RelaxedShardingIsThreadCountInvariant) {
-  FluidSimConfig cfg1;
-  cfg1.solver_threads = 1;
-  const Observation t1 = run_script(cfg1, /*domains=*/true);
-  for (int threads : {2, 4}) {
+TEST(ShardedDeterminism, ExactShardingIsThreadCountInvariant) {
+  const Observation t1 = run_script(FluidSimConfig{});
+  for (int threads : {2, 4, 8}) {
     FluidSimConfig cfg;
     cfg.solver_threads = threads;
-    const Observation tn = run_script(cfg, /*domains=*/true);
+    const Observation tn = run_script(cfg);
     expect_same(t1, tn);
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -169,8 +242,8 @@ TEST(ShardedDeterminism, RelaxedShardingIsThreadCountInvariant) {
 TEST(ShardedDeterminism, RepeatedRunsAreBitwiseStable) {
   FluidSimConfig cfg;
   cfg.solver_threads = 4;
-  const Observation a = run_script(cfg, /*domains=*/false);
-  const Observation b = run_script(cfg, /*domains=*/false);
+  const Observation a = run_script(cfg);
+  const Observation b = run_script(cfg);
   expect_same(a, b);
 }
 

@@ -1,4 +1,4 @@
-// Property test: the max-min solvers inside FluidSim must produce the
+// Property test: the max-min solver inside FluidSim must produce the
 // same rates as the retained naive reference solver
 // (src/net/maxmin_ref.{h,cpp}, the verbatim pre-incremental algorithm)
 // across randomized topologies, degradations and arrival patterns.
@@ -9,12 +9,10 @@
 // steps the simulator through several checkpoints. At every checkpoint
 // the reference solver is run over the live active set's paths and the
 // current effective capacities; every flow's rate must match to 1e-9
-// relative. The sweep runs in three configurations: the default
-// pod-sharded engine, the legacy monolithic solver, and the sharded
-// engine with boundary relaxation + reconciliation on 4 worker threads —
-// pinning every engine (epoch-stamped scratch, lazy min-heap, island
-// fast paths, shard partition caches, boundary pinning) to the naive
-// semantics.
+// relative. The sweep runs on 1 and on 4 solver lanes with a metrics
+// registry attached, and asserts that arrival waves took the island path
+// often enough — pinning full solves, island solves, the detached-
+// completion fast path and the shard caches to the naive semantics.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -23,7 +21,7 @@
 #include "core/units.h"
 #include "net/fluid_sim.h"
 #include "net/maxmin_ref.h"
-#include "parallel/shard_seed.h"
+#include "obs/metrics.h"
 
 namespace astral::net {
 namespace {
@@ -40,7 +38,7 @@ struct ScenarioStats {
   int blocked = 0;
   int batched = 0;
   std::size_t max_shards = 0;
-  std::uint64_t reconcile_passes = 0;
+  std::uint64_t island_solves = 0;
 };
 
 void expect_rates_match(const FluidSim& sim, ScenarioStats& stats, int scenario) {
@@ -68,13 +66,13 @@ void expect_rates_match(const FluidSim& sim, ScenarioStats& stats, int scenario)
   }
 }
 
-// Runs `scenarios` randomized scenarios under `cfg` (optionally feeding
-// the solver topology-derived locality domains) and checks every
+// Runs `scenarios` randomized scenarios under `cfg` and checks every
 // checkpoint against MaxMinRef. The rng seed is fixed, so every
 // configuration sees the identical scenario sequence.
-void run_randomized_sweep(const FluidSimConfig& cfg, bool locality_domains,
-                          int scenarios, ScenarioStats& stats) {
+void run_randomized_sweep(const FluidSimConfig& cfg, int scenarios,
+                          ScenarioStats& stats) {
   core::Rng rng(20250806);
+  obs::Metrics metrics;
   const topo::FabricStyle styles[] = {
       topo::FabricStyle::AstralSameRail, topo::FabricStyle::RailOptimized,
       topo::FabricStyle::Clos, topo::FabricStyle::RailOnly};
@@ -90,9 +88,7 @@ void run_randomized_sweep(const FluidSimConfig& cfg, bool locality_domains,
     p.tier3_oversub = rng.chance(0.3) ? 2.0 : 1.0;
     topo::Fabric fabric(p);
     FluidSim sim(fabric, cfg, /*seed=*/7 + static_cast<std::uint64_t>(sc));
-    if (locality_domains) {
-      sim.set_shard_domains(parallel::link_locality_domains(fabric));
-    }
+    sim.set_metrics(&metrics);
     auto hosts = fabric.topo().hosts();
     // Rail-only fabrics have no inter-pod connectivity: stay in pod 0.
     std::size_t usable = p.style == topo::FabricStyle::RailOnly
@@ -162,14 +158,14 @@ void run_randomized_sweep(const FluidSimConfig& cfg, bool locality_domains,
     sim.run(1.0);
     expect_rates_match(sim, stats, sc);
     if (::testing::Test::HasFatalFailure()) return;
-    stats.reconcile_passes += sim.solver_reconcile_passes();
     ++stats.scenarios;
   }
+  stats.island_solves = metrics.counter("fluidsim.solves.island");
 }
 
 TEST(SolverEquivalence, RandomizedScenariosMatchNaiveReference) {
   ScenarioStats stats;
-  run_randomized_sweep(FluidSimConfig{}, /*locality_domains=*/false, 1100, stats);
+  run_randomized_sweep(FluidSimConfig{}, 1100, stats);
   EXPECT_GE(stats.scenarios, 1000);
   // The sweep must actually exercise the interesting paths.
   EXPECT_GT(stats.checkpoints, 2000);
@@ -179,37 +175,22 @@ TEST(SolverEquivalence, RandomizedScenariosMatchNaiveReference) {
   EXPECT_GT(stats.batched, 300);
   // Exact component sharding must split the constraint graph sometimes.
   EXPECT_GT(stats.max_shards, 1u);
+  // Arrival waves on otherwise unused links must take the island path.
+  EXPECT_GT(stats.island_solves, 1000u);
 }
 
-// The pre-sharding monolithic solver stays available (cfg.sharding =
-// false) and must still match the reference — it is the baseline the
-// determinism test pins the sharded engine against.
-TEST(SolverEquivalence, LegacyMonolithicSolverMatchesReference) {
-  FluidSimConfig cfg;
-  cfg.sharding = false;
-  ScenarioStats stats;
-  run_randomized_sweep(cfg, /*locality_domains=*/false, 300, stats);
-  EXPECT_GE(stats.scenarios, 300);
-  EXPECT_GT(stats.checkpoints, 500);
-  EXPECT_GT(stats.rates_compared, 3000);
-}
-
-// Boundary relaxation (pod-locality domains + sequential reconciliation)
-// on 4 worker threads: shard discovery drops core-tier links, saturated
-// boundaries are pinned back, and the fixed point must still match the
-// global reference to 1e-9.
-TEST(SolverEquivalence, RelaxedDomainsParallelMatchReference) {
+// The same sweep on 4 solver lanes: shards (full and island) solve
+// concurrently and must still match the reference.
+TEST(SolverEquivalence, ExactShardingOnFourLanesMatchesReference) {
   FluidSimConfig cfg;
   cfg.solver_threads = 4;
   ScenarioStats stats;
-  run_randomized_sweep(cfg, /*locality_domains=*/true, 300, stats);
+  run_randomized_sweep(cfg, 300, stats);
   EXPECT_GE(stats.scenarios, 300);
   EXPECT_GT(stats.checkpoints, 500);
   EXPECT_GT(stats.rates_compared, 3000);
   EXPECT_GT(stats.max_shards, 1u);
-  // Oversubscribed cross-pod scenarios must saturate boundaries and force
-  // reconciliation re-solves, or the pinning path went untested.
-  EXPECT_GT(stats.reconcile_passes, 0u);
+  EXPECT_GT(stats.island_solves, 250u);
 }
 
 // resolve_rates() must be idempotent: re-solving an unchanged active set
