@@ -4,21 +4,30 @@
 // permutation traffic over the micro_perf bench fabric, from 256 flows up
 // to the million-flow point. Also sweeps solver thread counts at 64K
 // flows (--threads=1,2,4,8 to override), measures the end-to-end
-// permutation run, and verifies that the solver performs zero heap
-// allocations in steady state via a global operator-new counting hook.
+// permutation run (inject + drain, median of three), and verifies that
+// the solver performs zero heap allocations in steady state via a global
+// operator-new counting hook. The end-to-end run must scale near-linearly:
+// the 1M-flow drain may take at most 32x the 64K one (16x more flows, so
+// 2x linear).
 // Writes BENCH_fluid.json (path = argv[1], default ./BENCH_fluid.json)
 // so the repo keeps a perf trajectory; bench/run_bench.sh drives it from
-// a Release build.
+// a Release build. --baseline=FILE copies each point's end-to-end time
+// from an earlier BENCH_fluid.json (say, the parent commit's, run on the
+// same host) next to the new one, so the file carries before and after.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/json.h"
 #include "net/fluid_sim.h"
 #include "net/maxmin_ref.h"
 #include "obs/metrics.h"
@@ -136,14 +145,18 @@ Point measure(topo::Fabric& fabric, int flows) {
     pt.solve_us_ref = ms_since(t0) * 1000.0 / iters;
   }
 
-  // End-to-end permutation run (inject + drain), sharded solver.
-  {
+  // End-to-end permutation run (inject + drain), sharded solver; the
+  // median of three keeps one noisy run from deciding the scaling gate.
+  std::vector<double> runs;
+  for (int k = 0; k < 3; ++k) {
     auto t0 = Clock::now();
     net::FluidSim sim(fabric);
     sim.inject_batch(specs);
     sim.run();
-    pt.run_ms_end_to_end = ms_since(t0);
+    runs.push_back(ms_since(t0));
   }
+  std::sort(runs.begin(), runs.end());
+  pt.run_ms_end_to_end = runs[1];
   return pt;
 }
 
@@ -184,13 +197,37 @@ std::vector<SweepPoint> thread_sweep(topo::Fabric& fabric, int flows,
   return sweep;
 }
 
+// End-to-end milliseconds per flow count from an earlier BENCH_fluid.json;
+// empty when the file is missing or malformed.
+std::map<int, double> read_baseline(const std::string& path) {
+  std::map<int, double> out;
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const auto doc = core::Json::parse(text.str());
+  if (!doc) return out;
+  for (const core::Json& p : (*doc)["points"].as_array()) {
+    if (p["run_ms_end_to_end"].is_number()) {
+      out[static_cast<int>(p["flows"].as_int())] = p["run_ms_end_to_end"].as_number();
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_fluid.json";
   std::vector<int> thread_counts = {1, 2, 4, 8};
+  std::map<int, double> baseline;
   for (int a = 1; a < argc; ++a) {
-    if (std::strncmp(argv[a], "--threads=", 10) == 0) {
+    if (std::strncmp(argv[a], "--baseline=", 11) == 0) {
+      baseline = read_baseline(argv[a] + 11);
+      if (baseline.empty()) {
+        std::fprintf(stderr, "cannot read end-to-end points from %s\n", argv[a] + 11);
+        return 1;
+      }
+    } else if (std::strncmp(argv[a], "--threads=", 10) == 0) {
       thread_counts.clear();
       for (const char* p = argv[a] + 10; *p != '\0';) {
         thread_counts.push_back(std::atoi(p));
@@ -234,6 +271,8 @@ int main(int argc, char** argv) {
 
   double speedup_4k = 0.0;
   double ref_64k = 0.0;
+  double run_ms_64k = 0.0;
+  double run_ms_1m = 0.0;
   bool point_64k = false;
   bool point_1m = false;
   std::uint64_t total_steady_allocs = 0;
@@ -242,10 +281,17 @@ int main(int argc, char** argv) {
     if (p.flows == 65536 && p.run_ms_end_to_end > 0) {
       point_64k = true;
       ref_64k = p.solve_us_ref;
+      run_ms_64k = p.run_ms_end_to_end;
     }
-    if (p.flows == 1048576 && p.run_ms_end_to_end > 0) point_1m = true;
+    if (p.flows == 1048576 && p.run_ms_end_to_end > 0) {
+      point_1m = true;
+      run_ms_1m = p.run_ms_end_to_end;
+    }
     total_steady_allocs += p.steady_state_allocs;
   }
+  // 16x the flows may cost at most 2x linear end to end.
+  constexpr double kMaxEndToEndRatio1m64k = 32.0;
+  const double e2e_ratio = run_ms_64k > 0 ? run_ms_1m / run_ms_64k : 0.0;
   // Speedup vs the reference at 64K, using the sweep's >=4-thread
   // configurations (falling back to the scaling point's own number when
   // the sweep was narrowed via --threads).
@@ -270,24 +316,28 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"workload\": \"permutation alltoall, 4MiB flows, "
                "rails=8 hosts_per_block=16 blocks_per_pod=4 pods=2\",\n");
+  std::fprintf(f, "  \"run_ms_end_to_end\": \"median of 3 inject+drain runs\",\n");
   std::fprintf(f,
                "  \"reference_solver\": \"MaxMinRef::solve — the pre-change "
                "FluidSim::recompute_rates algorithm, retained verbatim\",\n");
   std::fprintf(f,
                "  \"incremental_solver\": \"FluidSim::resolve_rates — "
-               "pod-sharded engine: union-find component discovery, cached "
-               "shard CSRs + capacity tier, per-shard lazy min-heaps, "
-               "optional work-stealing thread pool\",\n");
+               "pod-sharded engine: union-find components kept across "
+               "events, shard CSRs + capacity tier, per-shard lazy "
+               "min-heaps, optional work-stealing thread pool\",\n");
   std::fprintf(f, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     std::fprintf(f,
                  "    {\"flows\": %d, \"solve_us_ref\": %.2f, "
                  "\"solve_us_incremental\": %.2f, \"solve_speedup\": %.2f, "
-                 "\"run_ms_end_to_end\": %.2f, \"steady_state_allocs\": %llu, "
-                 "\"solve_iters\": %d}%s\n",
+                 "\"run_ms_end_to_end\": %.2f, ",
                  p.flows, p.solve_us_ref, p.solve_us_incremental,
-                 p.solve_us_ref / p.solve_us_incremental, p.run_ms_end_to_end,
+                 p.solve_us_ref / p.solve_us_incremental, p.run_ms_end_to_end);
+    if (auto it = baseline.find(p.flows); it != baseline.end()) {
+      std::fprintf(f, "\"run_ms_end_to_end_baseline\": %.2f, ", it->second);
+    }
+    std::fprintf(f, "\"steady_state_allocs\": %llu, \"solve_iters\": %d}%s\n",
                  static_cast<unsigned long long>(p.steady_state_allocs),
                  p.solve_iters, i + 1 < points.size() ? "," : "");
   }
@@ -318,6 +368,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"solve_speedup_64k_required\": 10.0,\n");
   std::fprintf(f, "    \"point_64k_completed\": %s,\n", point_64k ? "true" : "false");
   std::fprintf(f, "    \"point_1m_completed\": %s,\n", point_1m ? "true" : "false");
+  std::fprintf(f, "    \"end_to_end_ratio_1m_64k\": %.2f,\n", e2e_ratio);
+  std::fprintf(f, "    \"end_to_end_ratio_1m_64k_max\": %.1f,\n", kMaxEndToEndRatio1m64k);
   std::fprintf(f, "    \"steady_state_allocs_total\": %llu\n",
                static_cast<unsigned long long>(total_steady_allocs));
   std::fprintf(f, "  }\n");
@@ -331,11 +383,13 @@ int main(int argc, char** argv) {
                 solve_hist->max());
   }
   std::printf(
-      "wrote %s (4k speedup %.1fx, 64k speedup %.1fx, 1M point %s)\n",
+      "wrote %s (4k speedup %.1fx, 64k speedup %.1fx, 1M point %s, "
+      "1M/64K end to end %.1fx of at most %.0fx)\n",
       out_path.c_str(), speedup_4k, speedup_64k,
-      point_1m ? "completed" : "MISSING");
+      point_1m ? "completed" : "MISSING", e2e_ratio, kMaxEndToEndRatio1m64k);
 
   const bool ok = speedup_4k >= 3.0 && speedup_64k >= 10.0 && point_64k &&
-                  point_1m && total_steady_allocs == 0;
+                  point_1m && e2e_ratio <= kMaxEndToEndRatio1m64k &&
+                  total_steady_allocs == 0;
   return ok ? 0 : 2;
 }

@@ -5,18 +5,24 @@
 # pre-change solver, 64K thread-count sweep, steady-state allocation
 # count). Exit status mirrors the benchmark's own acceptance checks
 # (>=3x solve speedup at 4K flows, >=10x at 64K, 64K and 1M points
-# completed, zero steady-state allocations).
+# completed, 1M end-to-end drain at most 32x the 64K one, zero
+# steady-state allocations).
 #
-# Usage: run_bench.sh [--threads=1,2,4,8]
-#   --threads  comma-separated solver thread counts for the 64K sweep
-#              (default 1,2,4,8).
+# Usage: run_bench.sh [--threads=1,2,4,8] [--baseline=FILE]
+#   --threads   comma-separated solver thread counts for the 64K sweep
+#               (default 1,2,4,8).
+#   --baseline  an earlier BENCH_fluid.json (e.g. the parent commit's,
+#               run on the same host) whose end-to-end times are written
+#               next to the new ones.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 threads_arg=""
+baseline_arg=""
 for arg in "$@"; do
   case "$arg" in
     --threads=*) threads_arg="$arg" ;;
+    --baseline=*) baseline_arg="$arg" ;;
     *) echo "unknown argument: $arg" >&2; exit 1 ;;
   esac
 done
@@ -24,5 +30,6 @@ done
 jobs="$(nproc 2>/dev/null || echo 2)"
 cmake --preset release
 cmake --build --preset release -j"${jobs}" --target bench_fluid_scaling
-./build-release/bench/bench_fluid_scaling BENCH_fluid.json ${threads_arg:+"$threads_arg"}
+./build-release/bench/bench_fluid_scaling BENCH_fluid.json ${threads_arg:+"$threads_arg"} \
+  ${baseline_arg:+"$baseline_arg"}
 echo "BENCH_fluid.json written at $(pwd)/BENCH_fluid.json"

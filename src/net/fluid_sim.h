@@ -14,12 +14,14 @@
 //     with overload, feeding the INT pingmesh monitors (Fig. 9c).
 //
 // Rates come from one solver, net::ShardSolver (shard_solver.h), which
-// splits the active set into independent bottleneck components and
-// progressive-fills each with a lazy min-heap. Around it the simulator is
-// incremental and allocation-free in steady state: per-link membership is
-// maintained by delta as flows arrive and finish, an arrival wave whose
-// links carry no other flows is solved on its own (an island), and a
-// completion wave that shared no link with the survivors needs no solve
+// keeps the active set split into independent bottleneck components
+// across events and progressive-fills each with a lazy min-heap. Around
+// it the simulator is incremental and allocation-free in steady state:
+// per-link membership is maintained by delta as flows arrive and finish,
+// and every membership or capacity change is reported to the solver, so a
+// solve re-solves only the components the change touched. An arrival wave
+// whose links carry no other flows is solved on its own (an island), and
+// a completion wave that shared no link with the survivors needs no solve
 // at all. See DESIGN.md §6 and §11; src/net/maxmin_ref.{h,cpp} retains the
 // naive solver as the equivalence oracle.
 #pragma once
@@ -126,6 +128,10 @@ class FluidSim {
   /// Capacity after degradations, bits/sec (what the solver allocates).
   double effective_capacity(topo::LinkId id) const { return effcap_[id]; }
 
+  /// Rate allocated on a link by the current solution, bits/sec: the sum
+  /// of its flows' rates, 0 when no active flow crosses it.
+  double link_rate(topo::LinkId id) const { return link_rate_[id]; }
+
   /// Multiplies a link's effective capacity by `factor` (< 1 models a
   /// degraded optical module / broken PCIe lane). factor <= 0 blocks the
   /// link for new rate allocation while keeping it routable, modelling a
@@ -159,16 +165,19 @@ class FluidSim {
   /// flows rather than leaving them hanging in the solver.
   void abort_flow(FlowId id);
 
-  /// Forces a full max-min solve now. The event loop schedules solves
-  /// itself; this exists for benchmarks and tests that measure or poke
-  /// the solver directly.
+  /// Forces a full max-min solve of every shard now, changed or not. The
+  /// event loop schedules solves itself; this exists for benchmarks and
+  /// tests that measure or poke the solver directly.
   void resolve_rates();
 
-  /// Removes all finished-flow bookkeeping but keeps counters; long
-  /// campaigns call this between iterations to bound memory.
+  /// Frees the paths of flows finished or aborted since the last call but
+  /// keeps counters; long campaigns call this between iterations to bound
+  /// memory. Costs O(flows retired since the last call).
   void recycle_finished();
 
-  /// Resets ECN/PFC/byte counters (e.g. between controller rounds).
+  /// Resets ECN/PFC/byte counters (e.g. between controller rounds). Peak
+  /// overloads restart at zero; the next full solve raises every loaded
+  /// link's peak to its current overload.
   void reset_stats();
 
   /// Total bytes still in flight.
@@ -188,7 +197,8 @@ class FluidSim {
   void set_metrics(obs::Metrics* metrics);
   obs::Metrics* metrics() const { return metrics_; }
 
-  /// Shards used by the most recent full or island solve (0 before any).
+  /// Shards in the solver's partition: the connected bottleneck
+  /// components of the active paths, as of the last solve (0 when idle).
   std::size_t solver_shard_count() const;
 
   /// Test hook: fast-forwards both internal epoch counters (island-mark,
@@ -210,17 +220,25 @@ class FluidSim {
   void run_impl(core::Seconds until, std::span<const FlowId> watch);
   bool all_finished(std::span<const FlowId> watch) const;
   void admit(FlowId id);
+  /// Adds the flow to the member lists of its path and reports it to the
+  /// solver; remove_member undoes both.
+  void add_member(FlowId id);
   void remove_member(FlowId id);
   /// True when every link the batch touches is used by batch flows only:
   /// the batch forms its own constraint island and the rest of the active
   /// set keeps its water-filling levels.
   bool batch_is_island(std::span<const FlowId> batch);
-  void solve_full();
+  /// A full solve: re-solves the shards that changed since the last
+  /// solve, or every shard when `every_shard` (resolve_rates).
+  void solve_full(bool every_shard = false);
   /// Runs the full solve a run deferred, before run_impl returns with
   /// flows still active, so rates sampled between runs are current.
   void finish_pending_solve();
-  void publish_zero(topo::LinkId l);
-  void clear_live();
+  /// Appends a link to live_links_ unless it is already there.
+  void add_live(topo::LinkId l);
+  /// Zeroes a link's published state and removes it from live_links_;
+  /// the last entry takes its slot.
+  void retire_live(topo::LinkId l);
   /// Integrates stats over [accumulated_until_, t] at current rates.
   void accumulate_until(core::Seconds t);
 
@@ -247,14 +265,20 @@ class FluidSim {
 
   // --- incremental solver state ---
   std::vector<std::vector<Member>> members_;  ///< Per-link active flows.
-  std::vector<char> is_live_;               ///< Link in live_links_.
-  std::vector<topo::LinkId> live_links_;    ///< Links with published state.
+  /// Links with published state: after each solve, exactly the links
+  /// that carry flows. New links are appended; a link whose last flow
+  /// left is zeroed and swap-removed, so the order is only stable until
+  /// then (trace export sorts the per-link samples accumulate_until emits).
+  std::vector<topo::LinkId> live_links_;
+  std::vector<std::uint32_t> live_pos_;  ///< Index in live_links_, or kNotLive.
   std::uint64_t mark_epoch_counter_ = 0;    ///< For batch_is_island.
   std::vector<std::uint64_t> mark_epoch_;
   std::vector<std::uint32_t> mark_count_;
   std::vector<FlowId> admitted_batch_;   ///< Arrival staging (reused).
   std::vector<FlowId> completed_batch_;  ///< Completion staging (reused).
+  std::vector<FlowId> retired_;  ///< Finished or aborted, path not yet freed.
   bool solve_pending_ = false;  ///< Active rates stale; full solve due.
+  bool peaks_reset_ = false;    ///< reset_stats() ran; no full solve since.
   std::unique_ptr<ShardSolver> shard_;  ///< The max-min solver.
 
   // --- observability (null = disabled; hooks cost one branch) ---

@@ -14,6 +14,8 @@ namespace astral::net {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint32_t kNoShard = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kJoined = kNoShard - 1;  ///< Joined, not yet settled.
 
 // Min-heap on (share, local link); local ids ascend with global ids, so
 // tie-breaks — and therefore the freeze order and floating-point
@@ -34,7 +36,7 @@ ShardSolver::ShardSolver(FluidSim& sim) : sim_(sim) {
   root_stamp_.assign(nlinks, 0);
   root_shard_.assign(nlinks, 0);
   seen_stamp_.assign(nlinks, 0);
-  link_shard_.assign(nlinks, 0);
+  link_shard_.assign(nlinks, kNoShard);
   link_local_.assign(nlinks, 0);
 }
 
@@ -60,18 +62,94 @@ std::uint32_t ShardSolver::uf_find(std::uint32_t x) {
   return x;
 }
 
-void ShardSolver::rebuild_structure(std::span<const FlowId> flows, bool republish) {
-  bump_build_epoch();
-  const std::uint64_t e = build_epoch_;
-  if (flow_local_.size() < sim_.flows_.size()) {
+void ShardSolver::mark_dirty(std::uint32_t sid) {
+  Shard& s = shards_[sid];
+  if (s.dirty) return;
+  s.dirty = true;
+  dirty_.push_back(sid);
+}
+
+void ShardSolver::flow_joined(FlowId id) {
+  if (flow_shard_.size() < sim_.flows_.size()) {
+    flow_shard_.resize(sim_.flows_.size(), kNoShard);
     flow_local_.resize(sim_.flows_.size());
   }
+  flow_shard_[id] = kJoined;
+  joined_.push_back(id);
+  for (topo::LinkId l : sim_.flows_[id].path) {
+    if (link_shard_[l] != kNoShard) mark_dirty(link_shard_[l]);
+  }
+}
+
+void ShardSolver::flow_left(FlowId id) {
+  const std::uint32_t sid = flow_shard_[id];
+  flow_shard_[id] = kNoShard;
+  if (sid == kNoShard || sid == kJoined) return;
+  --shards_[sid].live_flows;
+  mark_dirty(sid);
+}
+
+void ShardSolver::flow_moved(FlowId id) {
+  // A joined flow has no cached order yet; collect_flows checks the
+  // order of those against the active set itself.
+  const std::uint32_t sid = flow_shard_[id];
+  if (sid != kNoShard && sid != kJoined) mark_dirty(sid);
+}
+
+void ShardSolver::link_changed(topo::LinkId id) {
+  const std::uint32_t sid = link_shard_[id];
+  if (sid == kNoShard) return;  // no flow crosses it: nothing to redo
+  Shard& s = shards_[sid];
+  if (s.caps_dirty) return;
+  s.caps_dirty = true;
+  caps_dirty_.push_back(sid);
+}
+
+void ShardSolver::collect_flows() {
+  collect_.clear();
+  const bool dirty_has_flows = std::any_of(dirty_.begin(), dirty_.end(), [this](std::uint32_t sid) {
+    return shards_[sid].live_flows > 0;
+  });
+  const std::vector<FlowId>& active = sim_.active_;
+  const auto tail = static_cast<std::ptrdiff_t>(joined_.size());
+  if (!dirty_has_flows && joined_.size() <= active.size() &&
+      std::equal(joined_.begin(), joined_.end(), active.end() - tail)) {
+    // Only new flows, and they sit at the end of the active set in the
+    // order they joined: an island wave, or a wave that left nothing.
+    collect_.assign(joined_.begin(), joined_.end());
+    return;
+  }
+  for (FlowId f : active) {
+    const std::uint32_t sid = flow_shard_[f];
+    if (sid == kJoined || (sid != kNoShard && shards_[sid].dirty)) collect_.push_back(f);
+  }
+}
+
+void ShardSolver::compile_collected() {
+  bump_build_epoch();
+  const std::uint64_t e = build_epoch_;
 
   // Union-find over each flow's links: two links share a shard iff some
-  // chain of flows couples them.
-  for (FlowId f : flows) {
+  // chain of flows couples them. The paths are copied into one contiguous
+  // buffer on the way, so the pass below reads them without touching the
+  // flows again. Collected flows sit in active-set order, scattered across
+  // the simulator's flow table: each flow's state is fetched two steps
+  // ahead of its path so the cache misses of a large collection overlap.
+  constexpr std::size_t kAhead = 8;
+  collect_off_.clear();
+  collect_lnk_.clear();
+  for (std::size_t i = 0; i < collect_.size(); ++i) {
+    if (i + 2 * kAhead < collect_.size()) {
+      __builtin_prefetch(&sim_.flows_[collect_[i + 2 * kAhead]].path);
+    }
+    if (i + kAhead < collect_.size()) {
+      __builtin_prefetch(sim_.flows_[collect_[i + kAhead]].path.data());
+    }
+    const FlowId f = collect_[i];
+    collect_off_.push_back(static_cast<std::uint32_t>(collect_lnk_.size()));
     std::uint32_t prev = topo::kInvalidLink;
     for (topo::LinkId l : sim_.flows_[f].path) {
+      collect_lnk_.push_back(l);
       if (uf_stamp_[l] != e) {
         uf_stamp_[l] = e;
         uf_parent_[l] = l;
@@ -84,64 +162,69 @@ void ShardSolver::rebuild_structure(std::span<const FlowId> flows, bool republis
       prev = l;
     }
   }
+  collect_off_.push_back(static_cast<std::uint32_t>(collect_lnk_.size()));
 
-  // Shard ids by first appearance in the input order: thread-count-
-  // independent and stable for a given input.
-  nshards_ = 0;
-  unsharded_.clear();
-  for (FlowId f : flows) {
-    const auto& path = sim_.flows_[f].path;
+  // One shard per component, in order of first appearance; slots come
+  // from the free list first. The same pass hands each link to its shard
+  // (every link of a path lies in the path's component), appends links
+  // new to the published view to the live-link list in first-touch order,
+  // and lays out the path CSR with global link ids.
+  for (std::size_t i = 0; i < collect_.size(); ++i) {
+    const FlowId f = collect_[i];
+    const std::span<const topo::LinkId> path(collect_lnk_.data() + collect_off_[i],
+                                             collect_off_[i + 1] - collect_off_[i]);
     if (path.empty()) {
-      unsharded_.push_back(f);  // stranded: no path, rate pinned to zero
+      flow_shard_[f] = kNoShard;  // stranded: no path, its rate stays 0
       continue;
     }
     const std::uint32_t r = uf_find(path.front());
     if (root_stamp_[r] != e) {
       root_stamp_[r] = e;
-      if (shards_.size() <= nshards_) shards_.emplace_back();
-      shards_[nshards_].flows.clear();
-      shards_[nshards_].links.clear();
-      root_shard_[r] = static_cast<std::uint32_t>(nshards_);
-      ++nshards_;
-    }
-    Shard& s = shards_[root_shard_[r]];
-    flow_local_[f] = static_cast<std::uint32_t>(s.flows.size());
-    s.flows.push_back(f);
-  }
-
-  // Collect per-shard links and extend the published live-link list in
-  // first-touch input order, which golden traces observe (stats
-  // accumulation walks it).
-  if (republish) sim_.clear_live();
-  for (FlowId f : flows) {
-    for (topo::LinkId l : sim_.flows_[f].path) {
-      if (!sim_.is_live_[l]) {
-        sim_.is_live_[l] = 1;
-        sim_.live_links_.push_back(l);
+      std::uint32_t sid;
+      if (free_.empty()) {
+        sid = static_cast<std::uint32_t>(shards_.size());
+        shards_.emplace_back();
+      } else {
+        sid = free_.back();
+        free_.pop_back();
       }
+      Shard& s = shards_[sid];
+      s.flows.clear();
+      s.links.clear();
+      s.path_off.clear();
+      s.path_lnk.clear();
+      s.live_flows = 0;
+      s.in_use = true;
+      root_shard_[r] = sid;
+      todo_.push_back(sid);
+    }
+    const std::uint32_t sid = root_shard_[r];
+    Shard& s = shards_[sid];
+    flow_local_[f] = static_cast<std::uint32_t>(s.flows.size());
+    flow_shard_[f] = sid;
+    s.flows.push_back(f);
+    ++s.live_flows;
+    s.path_off.push_back(static_cast<std::uint32_t>(s.path_lnk.size()));
+    for (topo::LinkId l : path) {
+      s.path_lnk.push_back(l);
       if (seen_stamp_[l] == e) continue;
       seen_stamp_[l] = e;
-      const std::uint32_t sid = root_shard_[uf_find(l)];
+      sim_.add_live(l);
       link_shard_[l] = sid;
-      shards_[sid].links.push_back(l);
+      s.links.push_back(l);
     }
   }
 
-  // Compile each shard to dense local form.
-  for (std::size_t si = 0; si < nshards_; ++si) {
-    Shard& s = shards_[si];
+  // Compile each new shard to dense local form.
+  for (std::uint32_t sid : todo_) {
+    Shard& s = shards_[sid];
     std::sort(s.links.begin(), s.links.end());
     for (std::uint32_t i = 0; i < s.links.size(); ++i) link_local_[s.links[i]] = i;
     const std::size_t nl = s.links.size();
     const std::size_t nf = s.flows.size();
 
-    s.path_off.clear();
-    s.path_lnk.clear();
-    for (FlowId f : s.flows) {
-      s.path_off.push_back(static_cast<std::uint32_t>(s.path_lnk.size()));
-      for (topo::LinkId l : sim_.flows_[f].path) s.path_lnk.push_back(link_local_[l]);
-    }
     s.path_off.push_back(static_cast<std::uint32_t>(s.path_lnk.size()));
+    for (std::uint32_t& l : s.path_lnk) l = link_local_[l];
 
     s.mem_off.clear();
     s.mem_flow.clear();
@@ -163,48 +246,78 @@ void ShardSolver::rebuild_structure(std::span<const FlowId> flows, bool republis
     s.changed_mark.assign(nl, 0);  // solve_shard relies on all-zero entry
     s.rate.resize(nf);
     s.frozen.resize(nf);
+    rebuild_caps(s);
   }
 }
 
-void ShardSolver::rebuild_caps(std::span<const FlowId> flows) {
-  for (std::size_t si = 0; si < nshards_; ++si) {
-    Shard& s = shards_[si];
-    for (std::size_t li = 0; li < s.links.size(); ++li) {
-      s.cap[li] = sim_.effcap_[s.links[li]];
+void ShardSolver::settle() {
+  todo_.clear();
+  if (!dirty_.empty() || !joined_.empty()) {
+    collect_flows();
+    // Retire the dirty shards. Their links lose their owner until the
+    // compile below hands the ones that still carry flows to a new shard.
+    for (std::uint32_t sid : dirty_) {
+      Shard& s = shards_[sid];
+      for (topo::LinkId l : s.links) {
+        link_shard_[l] = kNoShard;
+        orphans_.push_back(l);
+      }
+      s.in_use = false;
+      s.dirty = false;
+      s.caps_dirty = false;  // recompiled with fresh capacities, if at all
+      s.live_flows = 0;
+      free_.push_back(sid);
     }
-    std::fill(s.demand.begin(), s.demand.end(), 0.0);
+    dirty_.clear();
+    joined_.clear();
+    compile_collected();
+    for (topo::LinkId l : orphans_) {
+      if (link_shard_[l] == kNoShard) sim_.retire_live(l);  // no flow crosses it
+    }
+    orphans_.clear();
   }
+  for (std::uint32_t sid : caps_dirty_) {
+    Shard& s = shards_[sid];
+    if (!s.caps_dirty) continue;  // retired above
+    s.caps_dirty = false;
+    rebuild_caps(s);
+    todo_.push_back(sid);
+  }
+  caps_dirty_.clear();
+}
+
+void ShardSolver::rebuild_caps(Shard& s) {
+  const std::size_t nl = s.links.size();
+  for (std::size_t li = 0; li < nl; ++li) s.cap[li] = sim_.effcap_[s.links[li]];
+  std::fill(s.demand.begin(), s.demand.end(), 0.0);
 
   // Offered demand at each hop is the prefix-min of upstream link
   // capacities: a degraded downlink sees traffic arriving at full
   // upstream rate, which is what triggers PFC back-pressure. Sums
-  // accumulate in input order, so they do not depend on the partition.
-  for (FlowId f : flows) {
+  // accumulate in active-set order, so they do not depend on the
+  // partition.
+  const std::size_t nf = s.flows.size();
+  for (std::size_t fi = 0; fi < nf; ++fi) {
     double prefix = kInf;
-    for (topo::LinkId l : sim_.flows_[f].path) {
-      const double cap_l = sim_.effcap_[l];
-      shards_[link_shard_[l]].demand[link_local_[l]] += prefix == kInf ? cap_l : prefix;
+    for (std::uint32_t k = s.path_off[fi]; k < s.path_off[fi + 1]; ++k) {
+      const std::uint32_t li = s.path_lnk[k];
+      const double cap_l = s.cap[li];
+      s.demand[li] += prefix == kInf ? cap_l : prefix;
       prefix = std::min(prefix, cap_l);
     }
   }
 
-  for (std::size_t si = 0; si < nshards_; ++si) {
-    Shard& s = shards_[si];
-    const std::size_t nl = s.links.size();
-    s.heap0.clear();
-    for (std::size_t li = 0; li < nl; ++li) {
-      const double cap = s.cap[li];
-      s.overload[li] =
-          cap > 0 ? s.demand[li] / cap : (s.demand[li] > 0 ? 1e9 : 0.0);
-      s.nmembers[li] = s.mem_off[li + 1] - s.mem_off[li];
-      // Every shard link has members, so every link enters the heap with
-      // its initial share — remcap/unfrozen at their starting values.
-      s.heap0.emplace_back(
-          cap > 0 ? cap / static_cast<double>(s.nmembers[li]) : 0.0,
-          static_cast<std::uint32_t>(li));
-    }
-    std::make_heap(s.heap0.begin(), s.heap0.end(), LocalHeapCmp{});
+  s.heap0.clear();
+  for (std::size_t li = 0; li < nl; ++li) {
+    const double cap = s.cap[li];
+    s.overload[li] = cap > 0 ? s.demand[li] / cap : (s.demand[li] > 0 ? 1e9 : 0.0);
+    s.nmembers[li] = s.mem_off[li + 1] - s.mem_off[li];
+    // Every shard link has members, so every link enters the heap with
+    // its initial share — remcap/unfrozen at their starting values.
+    s.heap0.emplace_back(cap > 0 ? cap / static_cast<double>(s.nmembers[li]) : 0.0,
+                         static_cast<std::uint32_t>(li));
   }
+  std::make_heap(s.heap0.begin(), s.heap0.end(), LocalHeapCmp{});
 }
 
 void ShardSolver::solve_shard(Shard& s, bool timed) {
@@ -288,62 +401,50 @@ void ShardSolver::solve_shard(Shard& s, bool timed) {
 
 void ShardSolver::run_shards(bool timed) {
   const int threads = sim_.cfg_.solver_threads;
-  if (threads > 1 && nshards_ > 1) {
+  if (threads > 1 && todo_.size() > 1) {
     if (!pool_ || pool_->lanes() != threads) {
       pool_ = std::make_unique<core::ThreadPool>(threads);
     }
-    pool_->parallel_for(nshards_, [this, timed](std::size_t i, int) {
-      solve_shard(shards_[i], timed);
+    pool_->parallel_for(todo_.size(), [this, timed](std::size_t i, int) {
+      solve_shard(shards_[todo_[i]], timed);
     });
   } else {
-    for (std::size_t i = 0; i < nshards_; ++i) solve_shard(shards_[i], timed);
+    for (std::uint32_t sid : todo_) solve_shard(shards_[sid], timed);
   }
-  for (FlowId f : unsharded_) sim_.flows_[f].rate = 0.0;
 }
 
 void ShardSolver::emit_telemetry() {
   if (sim_.metrics_ != nullptr) {
     sim_.metrics_->add("fluidsim.solves.sharded");
-    sim_.metrics_->add("fluidsim.shards.solved", nshards_);
-    sim_.metrics_->set_gauge("fluidsim.shards", static_cast<double>(nshards_));
+    sim_.metrics_->add("fluidsim.shards.solved", todo_.size());
+    sim_.metrics_->set_gauge("fluidsim.shards", static_cast<double>(shard_count()));
     obs::Histogram& h = sim_.metrics_->histogram("fluidsim.shard_solve_us");
-    for (std::size_t si = 0; si < nshards_; ++si) {
-      h.record(shards_[si].solve_us);
-    }
+    for (std::uint32_t sid : todo_) h.record(shards_[sid].solve_us);
   }
   if (sim_.tracer_ != nullptr) {
     // Spans land on the Link track (FluidSim's infrastructure track);
     // ts is simulation time, dur is wall-clock solve time in "sim
     // microseconds" — a profiling aid, not a simulated duration.
-    for (std::size_t si = 0; si < nshards_; ++si) {
+    for (std::uint32_t sid : todo_) {
       sim_.tracer_->span(obs::Track::Link, "solver.shard", sim_.now_,
-                         shards_[si].solve_us * 1e-6, {},
-                         static_cast<double>(shards_[si].flows.size()));
+                         shards_[sid].solve_us * 1e-6, {},
+                         static_cast<double>(shards_[sid].flows.size()));
     }
   }
 }
 
-void ShardSolver::solve() {
-  if (!structure_valid_) {
-    rebuild_structure(sim_.active_, /*republish=*/true);
-    rebuild_caps(sim_.active_);
-    structure_valid_ = true;
-    caps_valid_ = true;
-  } else if (!caps_valid_) {
-    rebuild_caps(sim_.active_);
-    caps_valid_ = true;
+void ShardSolver::solve(Scope scope) {
+  settle();
+  if (scope == Scope::All) {
+    todo_.clear();
+    for (std::uint32_t sid = 0; sid < shards_.size(); ++sid) {
+      if (shards_[sid].in_use) todo_.push_back(sid);
+    }
   }
-  const bool telemetry = sim_.cfg_.shard_telemetry &&
+  const bool telemetry = scope != Scope::Silent && sim_.cfg_.shard_telemetry &&
                          (sim_.metrics_ != nullptr || sim_.tracer_ != nullptr);
   run_shards(telemetry);
   if (telemetry) emit_telemetry();
-}
-
-void ShardSolver::solve_island(std::span<const FlowId> wave) {
-  rebuild_structure(wave, /*republish=*/false);
-  rebuild_caps(wave);
-  structure_valid_ = false;  // the shards now describe the wave only
-  run_shards(/*timed=*/false);
 }
 
 }  // namespace astral::net

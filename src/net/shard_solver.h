@@ -4,27 +4,32 @@
 // The active constraint graph (links as vertices, "some flow crosses
 // both" as edges) decomposes along the fabric's locality structure:
 // rail-aligned traffic never leaves its rail subgraph, pod-local traffic
-// never leaves its pod. This engine discovers the connected bottleneck
-// components with a union-find over the input flows' paths, compiles
-// each component into a dense shard-local CSR problem (local link ids,
-// contiguous path and member arrays, per-shard arenas), and solves the
-// shards independently — concurrently on a core::ThreadPool when
-// configured, or inline. Progressive filling inside a shard freezes links
-// in (share, link id) heap order: local link ids ascend with global ids,
-// demand accumulates in input order, and freeze order mirrors the
+// never leaves its pod. This engine keeps that decomposition — the
+// connected bottleneck components of the active paths, each compiled into
+// a dense shard-local CSR problem (local link ids, contiguous path and
+// member arrays, per-shard arenas) — across events, and solves the shards
+// independently: concurrently on a core::ThreadPool when configured, or
+// inline. Progressive filling inside a shard freezes links in (share,
+// link id) heap order: local link ids ascend with global ids, demand
+// accumulates in active-set order, and freeze order mirrors the
 // persistent member lists. Every shard is a function of its own inputs
-// only, so rates are bit-identical across thread counts, and an island
-// wave solved alone gets exactly the rates a full solve would give it.
+// only, so rates are bit-identical across thread counts, and a shard's
+// rates stay exact for as long as those inputs do not change.
 //
-// Two cache tiers make repeated full solves cheap: the *structure* tier
-// (partition, CSRs, live-link list) is invalidated by membership changes
-// (admission, completion, abort, reroute); the *capacity* tier (per-link
-// caps, offered demand, overloads, the initial heap — all pure functions
-// of structure + effective capacities) is invalidated by degradations.
-// A clean re-solve only replays the freeze loop over cached arenas and
-// allocates nothing. An island solve compiles the wave's shards over the
-// same arenas; they describe the wave only, so the structure tier stays
-// invalid afterwards.
+// FluidSim reports every change to those inputs through the hooks below,
+// and each reported change marks the owning shard dirty: a membership or
+// order change (admission, completion, abort, reroute) marks it
+// structure-dirty, a capacity change (degradation, link down/up) marks it
+// caps-dirty. A solve first *settles* the partition: the newly joined
+// flows and the flows of structure-dirty shards are collected in
+// active-set order and re-partitioned with a union-find (merges and
+// splits fall out of this), the dirty shards' slots are recycled for the
+// new shards, links left without members are zeroed, and caps-dirty
+// shards recompute their capacity tier (per-link caps, offered demand,
+// overloads, the initial heap). Only the shards settled this way are
+// solved; clean shards keep their published rates untouched. An island
+// wave is a settle whose dirty set holds only new flows. See DESIGN.md
+// §11.
 #pragma once
 
 #include <cstdint>
@@ -52,25 +57,39 @@ class ShardSolver {
   ShardSolver(const ShardSolver&) = delete;
   ShardSolver& operator=(const ShardSolver&) = delete;
 
-  /// Membership changed (admit / complete / abort / reroute): partition,
-  /// CSRs and the live-link list must be rebuilt at the next solve.
-  void invalidate_structure() { structure_valid_ = false; }
+  /// A flow took up memberships on its path (admission, or the re-add
+  /// after a reroute). Shards owning any of its links become
+  /// structure-dirty; the flow joins a shard at the next solve.
+  void flow_joined(FlowId id);
 
-  /// Effective capacities changed: demand/overload/initial-heap caches
-  /// must be rebuilt at the next solve.
-  void invalidate_caps() { caps_valid_ = false; }
+  /// A flow gave up its memberships (completion, abort, reroute). Its
+  /// shard becomes structure-dirty.
+  void flow_left(FlowId id);
 
-  /// Full max-min solve over the simulator's active set: publishes every
-  /// active flow's rate and rebuilds the published per-link view.
-  void solve();
+  /// A flow changed position in the active set (abort_flow swaps the last
+  /// active flow into the hole). Its shard's cached order is stale, so
+  /// the shard becomes structure-dirty.
+  void flow_moved(FlowId id);
 
-  /// Solves an arrival wave whose links carry no other flows (see
-  /// FluidSim::batch_is_island): publishes the wave's rates and appends
-  /// its links to the published view; every other published value stays.
-  void solve_island(std::span<const FlowId> wave);
+  /// A link's effective capacity changed. Its shard becomes caps-dirty.
+  void link_changed(topo::LinkId id);
 
-  /// Shards used by the most recent full or island solve (0 before any).
-  std::size_t shard_count() const { return nshards_; }
+  /// What solve() re-solves, and whether it reports shard telemetry.
+  enum class Scope : std::uint8_t {
+    Silent,  ///< Settled shards only, no telemetry (island waves, and
+             ///< completion waves or aborts that left no survivor on
+             ///< their links).
+    Full,    ///< Settled shards only, with telemetry (a full solve).
+    All,     ///< Every shard, with telemetry (FluidSim::resolve_rates).
+  };
+
+  /// Settles the partition and solves the shards it changed (or every
+  /// shard, for Scope::All), publishing their rates and per-link view.
+  void solve(Scope scope);
+
+  /// Shards in the current partition: the connected components of the
+  /// active paths once the last solve settled them (0 before any).
+  std::size_t shard_count() const { return shards_.size() - free_.size(); }
 
   /// Test hook for the epoch-wraparound guard: fast-forwards the build
   /// counter so the next builds exercise the wrap reset path.
@@ -79,9 +98,9 @@ class ShardSolver {
  private:
   /// One connected bottleneck component, compiled to dense local form.
   /// Local link ids ascend with global ids (deterministic tie-breaks);
-  /// local flow ids follow input order.
+  /// local flow ids follow active-set order.
   struct Shard {
-    std::vector<FlowId> flows;            ///< Global ids, input order.
+    std::vector<FlowId> flows;            ///< Global ids, active-set order.
     std::vector<topo::LinkId> links;      ///< Global ids, ascending.
     // Path CSR: per local flow, the local ids of its links in hop order.
     std::vector<std::uint32_t> path_off;
@@ -105,39 +124,56 @@ class ShardSolver {
     std::vector<char> changed_mark;
     std::vector<std::pair<double, std::uint32_t>> heap;
     std::vector<std::uint32_t> changed_list;
-    double solve_us = 0.0;  ///< Wall time of the last solve (telemetry).
+    std::uint32_t live_flows = 0;  ///< Flows that have not left since compile.
+    bool in_use = false;           ///< Holds a component (not on the free list).
+    bool dirty = false;            ///< Membership or order changed.
+    bool caps_dirty = false;       ///< A link's capacity changed.
+    double solve_us = 0.0;         ///< Wall time of the last solve (telemetry).
   };
 
   void bump_build_epoch();
   std::uint32_t uf_find(std::uint32_t x);
-  /// Partitions `flows` into shards and compiles them. A full solve
-  /// (`republish`) rebuilds the published live-link list in first-touch
-  /// order; an island appends its new links to it instead.
-  void rebuild_structure(std::span<const FlowId> flows, bool republish);
-  void rebuild_caps(std::span<const FlowId> flows);
-  /// Solves and publishes every shard; flows with no path get rate 0.
+  void mark_dirty(std::uint32_t sid);
+  /// Collects the flows to re-partition, in active-set order, into
+  /// collect_: every newly joined flow plus the flows of structure-dirty
+  /// shards.
+  void collect_flows();
+  /// Settles the partition (see the file comment) and lists the shards
+  /// that need a solve in todo_.
+  void settle();
+  /// Partitions collect_ into new shards and compiles them.
+  void compile_collected();
+  void rebuild_caps(Shard& s);
   void run_shards(bool timed);
   void solve_shard(Shard& s, bool timed);
   void emit_telemetry();
 
   FluidSim& sim_;
-  bool structure_valid_ = false;
-  bool caps_valid_ = false;
 
-  std::vector<Shard> shards_;  ///< Reused across builds; only nshards_ live.
-  std::size_t nshards_ = 0;
-  std::vector<FlowId> unsharded_;  ///< Input flows with no path (stranded).
+  std::vector<Shard> shards_;         ///< Slots; free ones are on free_.
+  std::vector<std::uint32_t> free_;   ///< Recycled slots, reused LIFO.
+  std::vector<std::uint32_t> dirty_;  ///< Structure-dirty slots.
+  std::vector<std::uint32_t> caps_dirty_;  ///< Caps-dirty slots.
+  std::vector<std::uint32_t> todo_;   ///< Slots the current solve solves.
+  std::vector<FlowId> joined_;        ///< Flows joined since the last settle.
+  std::vector<FlowId> collect_;       ///< Flows being re-partitioned.
+  std::vector<std::uint32_t> collect_off_;  ///< Their paths, CSR offsets...
+  std::vector<topo::LinkId> collect_lnk_;   ///< ...and links in hop order.
+  std::vector<topo::LinkId> orphans_;  ///< Links of retired shards.
+
+  // Ownership, kept across solves.
+  std::vector<std::uint32_t> flow_shard_;  ///< Slot, kJoined or kNoShard.
+  std::vector<std::uint32_t> link_shard_;  ///< Owning slot or kNoShard.
+  std::vector<std::uint32_t> link_local_;  ///< Local id within its shard.
+  std::vector<std::uint32_t> flow_local_;  ///< Local id within its shard.
 
   // Build-time scratch, all epoch-stamped so builds never clear arrays.
   std::uint64_t build_epoch_ = 0;
   std::vector<std::uint64_t> uf_stamp_;    ///< Link seen by union-find.
   std::vector<std::uint32_t> uf_parent_;
-  std::vector<std::uint64_t> root_stamp_;  ///< Root assigned a shard id.
+  std::vector<std::uint64_t> root_stamp_;  ///< Root assigned a shard.
   std::vector<std::uint32_t> root_shard_;
   std::vector<std::uint64_t> seen_stamp_;  ///< Link collected this build.
-  std::vector<std::uint32_t> link_shard_;  ///< Owning shard per link.
-  std::vector<std::uint32_t> link_local_;  ///< Local id within its shard.
-  std::vector<std::uint32_t> flow_local_;  ///< Local id within its shard.
 
   std::unique_ptr<core::ThreadPool> pool_;  ///< Lazily created.
 };

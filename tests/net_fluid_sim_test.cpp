@@ -430,6 +430,48 @@ TEST(FluidSim, RecycleFinishedCampaignPreservesInvariants) {
   EXPECT_EQ(sim.flow_count(), 500u);
 }
 
+// recycle_finished frees exactly the flows that finished or were aborted
+// (active or pending) since the last call; active and pending flows keep
+// their paths, and a finished flow's path stays readable until the call.
+TEST(FluidSim, RecycleFinishedReleasesOnlyRetiredPaths) {
+  auto f = small_fabric();
+  FluidSim sim(f);
+  const int rails = f.params().rails;
+  const int dst = rails * f.params().hosts_per_block;
+  const FlowId done = sim.inject(make_spec(f, 0, dst, 1_MiB, 1));
+  const FlowId running = sim.inject(make_spec(f, rails, dst + rails, 64_MiB, 2));
+  const FlowId killed = sim.inject(make_spec(f, 2 * rails, dst + 2 * rails, 64_MiB, 3));
+  auto later = make_spec(f, 3 * rails, dst + 3 * rails, 8_MiB, 4);
+  later.start = 1.0;
+  const FlowId waiting = sim.inject(later);
+  later.tag = 5;
+  const FlowId dropped = sim.inject(later);
+
+  sim.run(core::transfer_time(1_MiB, gbps(200)) * 2);
+  ASSERT_GE(sim.flow(done).finish, 0.0);
+  EXPECT_FALSE(sim.flow(done).path.empty());  // readable until recycled
+  sim.abort_flow(killed);
+  sim.abort_flow(dropped);
+  sim.recycle_finished();
+
+  for (FlowId id : {done, killed, dropped}) {
+    EXPECT_TRUE(sim.flow(id).path.empty()) << "flow " << id;
+    EXPECT_EQ(sim.flow(id).path.capacity(), 0u) << "flow " << id;
+    EXPECT_TRUE(sim.flow(id).member_pos.empty()) << "flow " << id;
+  }
+  for (FlowId id : {running, waiting}) {
+    EXPECT_FALSE(sim.flow(id).path.empty()) << "flow " << id;
+    EXPECT_EQ(sim.flow(id).member_pos.size(), sim.flow(id).path.size()) << "flow " << id;
+  }
+
+  // The survivors still finish, and a second call frees them.
+  sim.run();
+  EXPECT_GE(sim.flow(running).finish, 0.0);
+  EXPECT_GE(sim.flow(waiting).finish, 0.0);
+  sim.recycle_finished();
+  for (FlowId id : {running, waiting}) EXPECT_TRUE(sim.flow(id).path.empty());
+}
+
 TEST(FluidSim, InjectBatchMatchesSequentialInject) {
   auto f = small_fabric();
   int dst = f.params().rails * f.params().hosts_per_block;
