@@ -8,7 +8,10 @@
 // the solver performs zero heap allocations in steady state via a global
 // operator-new counting hook. The end-to-end run must scale near-linearly:
 // the 1M-flow drain may take at most 32x the 64K one (16x more flows, so
-// 2x linear).
+// 2x linear). The thread pool must pay for itself: 4 lanes re-solve 64K
+// flows at least 1.5x faster than 1 lane, a gate enforced only when a
+// raw std::thread calibration (perfbench's integer kernel) shows this
+// host running 4 threads at least 2.5x faster than 1.
 // Writes BENCH_fluid.json (path = argv[1], default ./BENCH_fluid.json)
 // so the repo keeps a perf trajectory; bench/run_bench.sh drives it from
 // a Release build. --baseline=FILE copies each point's end-to-end time
@@ -25,6 +28,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/json.h"
@@ -197,6 +201,52 @@ std::vector<SweepPoint> thread_sweep(topo::Fabric& fabric, int flows,
   return sweep;
 }
 
+volatile std::uint64_t g_spin_sink = 0;
+
+/// A fixed integer kernel split into `threads` equal parts on raw
+/// std::threads (the perfbench calibration kernel); returns milliseconds.
+double spin_ms(int threads, std::uint64_t total_iters) {
+  std::vector<std::uint64_t> sink(static_cast<std::size_t>(threads) * 8, 0);
+  const auto t0 = Clock::now();
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      std::uint64_t x = 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(t);
+      for (std::uint64_t i = total_iters / static_cast<std::uint64_t>(threads); i > 0; --i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+      }
+      sink[static_cast<std::size_t>(t) * 8] = x;  // one cache line apart
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  const double ms = ms_since(t0);
+  for (std::uint64_t v : sink) g_spin_sink = g_spin_sink ^ v;  // keeps the kernel live
+  return ms;
+}
+
+struct Calibration {
+  double one_lane_ms = 0.0;
+  double four_lanes_ms = 0.0;
+  double speedup() const { return four_lanes_ms > 0 ? one_lane_ms / four_lanes_ms : 0.0; }
+};
+
+/// What this host gives four raw threads of pure compute, median of three
+/// trials at 1 and at 4 lanes, so a flat thread sweep can be blamed on the
+/// host or on the code.
+Calibration calibrate() {
+  constexpr std::uint64_t kIters = 40'000'000;
+  std::vector<double> one, four;
+  for (int k = 0; k < 3; ++k) {
+    one.push_back(spin_ms(1, kIters));
+    four.push_back(spin_ms(4, kIters));
+  }
+  std::sort(one.begin(), one.end());
+  std::sort(four.begin(), four.end());
+  return {one[1], four[1]};
+}
+
 // End-to-end milliseconds per flow count from an earlier BENCH_fluid.json;
 // empty when the file is missing or malformed.
 std::map<int, double> read_baseline(const std::string& path) {
@@ -268,6 +318,9 @@ int main(int argc, char** argv) {
 
   // Thread-count sweep at 64K flows (the acceptance point).
   const std::vector<SweepPoint> sweep = thread_sweep(fabric, 65536, thread_counts);
+  const Calibration calib = calibrate();
+  std::printf("raw-thread calibration: 1 lane %.1fms, 4 lanes %.1fms (%.2fx)\n",
+              calib.one_lane_ms, calib.four_lanes_ms, calib.speedup());
 
   double speedup_4k = 0.0;
   double ref_64k = 0.0;
@@ -305,6 +358,30 @@ int main(int argc, char** argv) {
     }
     total_steady_allocs += sp.steady_state_allocs;
   }
+  // 1-lane / 4-lane 64K re-solve; enforced only where raw threads scale.
+  constexpr double kPoolSpeedupRequired = 1.5;
+  constexpr double kPoolGateCalibration = 2.5;
+  double solve_us_1 = 0.0;
+  double solve_us_4 = 0.0;
+  for (const SweepPoint& sp : sweep) {
+    if (sp.threads == 1) solve_us_1 = sp.solve_us;
+    if (sp.threads == 4) solve_us_4 = sp.solve_us;
+  }
+  const double pool_speedup_4 =
+      solve_us_1 > 0 && solve_us_4 > 0 ? solve_us_1 / solve_us_4 : 0.0;
+  std::string pool_status;
+  bool pool_ok = true;
+  if (pool_speedup_4 == 0.0) {
+    pool_status = "skipped: the thread sweep lacks 1 or 4 threads";
+  } else if (calib.speedup() < kPoolGateCalibration) {
+    char why[96];
+    std::snprintf(why, sizeof why, "skipped: raw 4-lane calibration %.2fx < %.1fx",
+                  calib.speedup(), kPoolGateCalibration);
+    pool_status = why;
+  } else {
+    pool_ok = pool_speedup_4 >= kPoolSpeedupRequired;
+    pool_status = pool_ok ? "pass" : "fail";
+  }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -324,7 +401,7 @@ int main(int argc, char** argv) {
                "  \"incremental_solver\": \"FluidSim::resolve_rates — "
                "pod-sharded engine: union-find components kept across "
                "events, shard CSRs + capacity tier, per-shard lazy "
-               "min-heaps, optional work-stealing thread pool\",\n");
+               "min-heaps, optional shared-cursor thread pool\",\n");
   std::fprintf(f, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
@@ -361,6 +438,11 @@ int main(int argc, char** argv) {
                  i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
+  std::fprintf(f,
+               "  \"calibration\": {\"kernel\": \"xorshift integer spin on raw "
+               "std::threads, as perfbench\", \"one_lane_ms\": %.2f, "
+               "\"four_lanes_ms\": %.2f, \"lane_speedup\": %.2f},\n",
+               calib.one_lane_ms, calib.four_lanes_ms, calib.speedup());
   std::fprintf(f, "  \"criteria\": {\n");
   std::fprintf(f, "    \"solve_speedup_4k\": %.2f,\n", speedup_4k);
   std::fprintf(f, "    \"solve_speedup_4k_required\": 3.0,\n");
@@ -370,6 +452,11 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"point_1m_completed\": %s,\n", point_1m ? "true" : "false");
   std::fprintf(f, "    \"end_to_end_ratio_1m_64k\": %.2f,\n", e2e_ratio);
   std::fprintf(f, "    \"end_to_end_ratio_1m_64k_max\": %.1f,\n", kMaxEndToEndRatio1m64k);
+  std::fprintf(f, "    \"pool_speedup_4\": %.2f,\n", pool_speedup_4);
+  std::fprintf(f, "    \"pool_speedup_4_required\": %.1f,\n", kPoolSpeedupRequired);
+  std::fprintf(f, "    \"pool_speedup_4_enforced_from_calibration\": %.1f,\n",
+               kPoolGateCalibration);
+  std::fprintf(f, "    \"pool_speedup_4_status\": \"%s\",\n", pool_status.c_str());
   std::fprintf(f, "    \"steady_state_allocs_total\": %llu\n",
                static_cast<unsigned long long>(total_steady_allocs));
   std::fprintf(f, "  }\n");
@@ -384,12 +471,13 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "wrote %s (4k speedup %.1fx, 64k speedup %.1fx, 1M point %s, "
-      "1M/64K end to end %.1fx of at most %.0fx)\n",
+      "1M/64K end to end %.1fx of at most %.0fx, 4-lane pool speedup %.2fx: %s)\n",
       out_path.c_str(), speedup_4k, speedup_64k,
-      point_1m ? "completed" : "MISSING", e2e_ratio, kMaxEndToEndRatio1m64k);
+      point_1m ? "completed" : "MISSING", e2e_ratio, kMaxEndToEndRatio1m64k,
+      pool_speedup_4, pool_status.c_str());
 
   const bool ok = speedup_4k >= 3.0 && speedup_64k >= 10.0 && point_64k &&
                   point_1m && e2e_ratio <= kMaxEndToEndRatio1m64k &&
-                  total_steady_allocs == 0;
+                  total_steady_allocs == 0 && pool_ok;
   return ok ? 0 : 2;
 }

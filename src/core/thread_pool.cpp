@@ -1,14 +1,11 @@
 #include "core/thread_pool.h"
 
-#include <cassert>
-
 namespace astral::core {
 
 ThreadPool::ThreadPool(int lanes) : lanes_(lanes < 1 ? 1 : lanes) {
-  ranges_ = std::vector<Lane>(static_cast<std::size_t>(lanes_));
   workers_.reserve(static_cast<std::size_t>(lanes_ - 1));
-  for (int lane = 1; lane < lanes_; ++lane) {
-    workers_.emplace_back([this, lane] { worker_main(lane); });
+  for (int i = 1; i < lanes_; ++i) {
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
@@ -24,93 +21,39 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::run_job(std::size_t n, InvokeFn invoke, void* ctx) {
   if (n == 0) return;
   if (lanes_ == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) invoke(ctx, i, 0);
+    for (std::size_t i = 0; i < n; ++i) invoke(ctx, i);
     return;
   }
-  assert(n < (std::uint64_t{1} << 32));
 
   {
     std::unique_lock<std::mutex> lk(mutex_);
-    // A lane that joined the previous job may still be scanning for work
-    // after the last item completed; ranges must not be refilled under it.
+    // A worker that joined the previous job may still be about to take
+    // an index from its cursor after the last item completed; the cursor
+    // must not be rewound under it.
     idle_.wait(lk, [this] { return active_workers_ == 0; });
-
-    // Contiguous chunk per lane; the first n % lanes chunks get one extra.
-    const std::uint32_t total = static_cast<std::uint32_t>(n);
-    const std::uint32_t base = total / static_cast<std::uint32_t>(lanes_);
-    const std::uint32_t extra = total % static_cast<std::uint32_t>(lanes_);
-    std::uint32_t next = 0;
-    for (int lane = 0; lane < lanes_; ++lane) {
-      const std::uint32_t len =
-          base + (static_cast<std::uint32_t>(lane) < extra ? 1 : 0);
-      ranges_[static_cast<std::size_t>(lane)].range.store(
-          pack(next, next + len), std::memory_order_relaxed);
-      next += len;
-    }
+    next_.store(0);
     items_left_.store(n, std::memory_order_release);
+    n_ = n;
     invoke_ = invoke;
     ctx_ = ctx;
     ++generation_;
   }
   wake_.notify_all();
 
-  work(0, invoke, ctx);
+  work(n, invoke, ctx);
 
-  // A thief may still be executing its last claimed item; completion is
-  // when every participating lane has banked its executed count.
+  // Another lane may still be executing the last item it took; the job
+  // is complete when every lane has banked its executed count.
   std::size_t left;
   while ((left = items_left_.load(std::memory_order_acquire)) != 0) {
     items_left_.wait(left, std::memory_order_acquire);
   }
 }
 
-bool ThreadPool::claim(int lane, std::size_t& item) {
-  // Own chunk first: pop from the front.
-  auto& own = ranges_[static_cast<std::size_t>(lane)].range;
-  std::uint64_t cur = own.load(std::memory_order_acquire);
-  while (range_begin(cur) < range_end(cur)) {
-    if (own.compare_exchange_weak(cur, pack(range_begin(cur) + 1, range_end(cur)),
-                                  std::memory_order_acq_rel,
-                                  std::memory_order_acquire)) {
-      item = range_begin(cur);
-      return true;
-    }
-  }
-  // Steal from the back of the fattest remaining chunk.
-  while (true) {
-    int victim = -1;
-    std::uint32_t victim_len = 0;
-    for (int v = 0; v < lanes_; ++v) {
-      if (v == lane) continue;
-      const std::uint64_t r =
-          ranges_[static_cast<std::size_t>(v)].range.load(std::memory_order_acquire);
-      const std::uint32_t len =
-          range_end(r) > range_begin(r) ? range_end(r) - range_begin(r) : 0;
-      if (len > victim_len) {
-        victim_len = len;
-        victim = v;
-      }
-    }
-    if (victim < 0) return false;
-    auto& vr = ranges_[static_cast<std::size_t>(victim)].range;
-    std::uint64_t r = vr.load(std::memory_order_acquire);
-    while (range_begin(r) < range_end(r)) {
-      if (vr.compare_exchange_weak(r, pack(range_begin(r), range_end(r) - 1),
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-        item = range_end(r) - 1;
-        return true;
-      }
-    }
-    // Victim drained under us; rescan for another.
-  }
-}
-
-void ThreadPool::work(int lane, InvokeFn invoke, void* ctx) {
+void ThreadPool::work(std::size_t n, InvokeFn invoke, void* ctx) {
   std::size_t executed = 0;
-  std::size_t item;
-  while (claim(lane, item)) {
-    invoke(ctx, item, lane);
+  for (std::size_t item; (item = next_.fetch_add(1)) < n;) {
+    invoke(ctx, item);
     ++executed;
   }
   if (executed > 0 &&
@@ -119,9 +62,10 @@ void ThreadPool::work(int lane, InvokeFn invoke, void* ctx) {
   }
 }
 
-void ThreadPool::worker_main(int lane) {
+void ThreadPool::worker_main() {
   std::uint64_t seen = 0;
   while (true) {
+    std::size_t n;
     InvokeFn invoke;
     void* ctx;
     {
@@ -129,11 +73,12 @@ void ThreadPool::worker_main(int lane) {
       wake_.wait(lk, [&] { return stopping_ || generation_ != seen; });
       if (stopping_) return;
       seen = generation_;
+      n = n_;
       invoke = invoke_;
       ctx = ctx_;
       ++active_workers_;
     }
-    work(lane, invoke, ctx);
+    work(n, invoke, ctx);
     {
       std::lock_guard<std::mutex> lk(mutex_);
       --active_workers_;

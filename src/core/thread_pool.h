@@ -1,28 +1,23 @@
-// Reusable work-stealing thread pool for solver-side parallelism.
+// Reusable thread pool for solver-side parallelism: a plain parallel_for.
 //
 // The pool exists for compute kernels inside the simulator itself — the
 // sharded max-min solver today, fleet campaigns and topology-zoo sweeps
 // tomorrow — not for I/O. Design constraints, in order:
 //
-//   * Determinism-friendly: parallel_for(n, fn) invokes fn(i, lane) for
-//     every i in [0, n) exactly once; which lane runs which item is
+//   * Determinism-friendly: parallel_for(n, fn) invokes fn(i) for every i
+//     in [0, n) exactly once; which thread runs which item is
 //     scheduling-dependent, so callers keep results deterministic by
-//     writing to per-item (or per-lane, order-merged-later) state only.
-//     `lane` in [0, lanes()) lets callers index pre-sized arenas without
-//     any thread-local machinery.
+//     writing to per-item state only.
 //   * Zero steady-state allocation: parallel_for type-erases the callable
-//     on the stack (no std::function), and all queues are fixed arrays
-//     sized at construction.
+//     on the stack (no std::function), and a job is one cursor and one
+//     completion count.
 //   * lanes() == 1 degenerates to a plain loop on the caller's thread —
 //     no worker threads are spawned at all, so single-threaded builds and
-//     TSAN baselines pay nothing.
+//     TSAN baselines pay nothing. A one-item job also runs inline.
 //
-// Work distribution is range-splitting with stealing: [0, n) is divided
-// into one contiguous chunk per lane; an owner pops items from the front
-// of its chunk while idle lanes steal from the back of the fattest
-// remaining chunk. Each lane's range lives in one 64-bit atomic (begin in
-// the high half, end in the low half) so pop and steal race safely via
-// compare-exchange, without locks on the item path.
+// Work distribution is one shared atomic cursor: the caller and every
+// worker take the next item with a fetch_add until the cursor passes n,
+// so a lane that draws cheap items simply takes more of them.
 #pragma once
 
 #include <atomic>
@@ -37,8 +32,8 @@ namespace astral::core {
 
 class ThreadPool {
  public:
-  /// Spawns `lanes - 1` workers; the caller participates as lane 0.
-  /// lanes < 1 is clamped to 1.
+  /// Spawns `lanes - 1` workers; the calling thread is the remaining
+  /// lane. lanes < 1 is clamped to 1.
   explicit ThreadPool(int lanes);
   ~ThreadPool();
 
@@ -47,54 +42,35 @@ class ThreadPool {
 
   int lanes() const { return lanes_; }
 
-  /// Runs fn(item, lane) for every item in [0, n); blocks until all items
-  /// completed. Items must not throw and must touch disjoint (or lane-
-  /// private) mutable state. Reentrant calls from inside fn are not
-  /// allowed. n is limited to 2^32 - 1 items.
+  /// Runs fn(item) for every item in [0, n); blocks until all items
+  /// completed. Items must not throw and must touch disjoint mutable
+  /// state. Reentrant calls from inside fn are not allowed.
   template <typename Fn>
   void parallel_for(std::size_t n, Fn&& fn) {
-    auto invoke = +[](void* ctx, std::size_t item, int lane) {
-      (*static_cast<std::remove_reference_t<Fn>*>(ctx))(item, lane);
+    auto invoke = +[](void* ctx, std::size_t item) {
+      (*static_cast<std::remove_reference_t<Fn>*>(ctx))(item);
     };
     run_job(n, invoke, &fn);
   }
 
  private:
-  using InvokeFn = void (*)(void* ctx, std::size_t item, int lane);
-
-  /// One lane's remaining range, packed begin:end into a u64 so owner pop
-  /// (front) and thief steal (back) contend through a single CAS word.
-  struct alignas(64) Lane {
-    std::atomic<std::uint64_t> range{0};
-  };
-
-  static constexpr std::uint64_t pack(std::uint32_t begin, std::uint32_t end) {
-    return (static_cast<std::uint64_t>(begin) << 32) | end;
-  }
-  static constexpr std::uint32_t range_begin(std::uint64_t r) {
-    return static_cast<std::uint32_t>(r >> 32);
-  }
-  static constexpr std::uint32_t range_end(std::uint64_t r) {
-    return static_cast<std::uint32_t>(r);
-  }
+  using InvokeFn = void (*)(void* ctx, std::size_t item);
 
   void run_job(std::size_t n, InvokeFn invoke, void* ctx);
-  /// Drains items as lane `lane` until no lane has work left. invoke/ctx
-  /// are passed explicitly (snapshotted per generation under mutex_) so a
-  /// lane can never mix one job's items with another job's callable.
-  void work(int lane, InvokeFn invoke, void* ctx);
-  /// Claims one item for `lane`: its own front first, then the fattest
-  /// victim's back. Returns false when every lane is empty.
-  bool claim(int lane, std::size_t& item);
-  void worker_main(int lane);
+  /// Takes and runs items until the cursor passes n. The job is passed
+  /// explicitly (snapshotted per generation under mutex_) so a lane can
+  /// never mix one job's items with another job's callable.
+  void work(std::size_t n, InvokeFn invoke, void* ctx);
+  void worker_main();
 
   int lanes_ = 1;
-  std::vector<Lane> ranges_;
   std::vector<std::thread> workers_;
 
   // Current job, published under mutex_ before generation_ bumps.
+  std::size_t n_ = 0;
   InvokeFn invoke_ = nullptr;
   void* ctx_ = nullptr;
+  std::atomic<std::size_t> next_{0};  ///< Next unclaimed item.
   std::atomic<std::size_t> items_left_{0};
 
   std::mutex mutex_;

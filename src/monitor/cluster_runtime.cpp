@@ -11,14 +11,13 @@ namespace astral::monitor {
 ClusterRuntime::ClusterRuntime(topo::Fabric& fabric, JobConfig cfg,
                                std::uint64_t seed)
     : fabric_(fabric) {
-  sim_ = std::make_unique<net::FluidSim>(fabric_, net::FluidSimConfig{}, seed);
+  sim_ = std::make_unique<net::FluidSim>(fabric_);
   std::vector<int> placed =
-      parallel::place_hosts(fabric_, cfg.hosts, cfg.placement);
+      parallel::place_hosts(fabric_, cfg.hosts, parallel::HostPolicy::InOrder);
   if (placed.empty()) {
-    throw std::invalid_argument(
-        "ClusterRuntime: placement " +
-        std::string(parallel::to_string(cfg.placement)) + " cannot fit " +
-        std::to_string(cfg.hosts) + " hosts on this fabric");
+    throw std::invalid_argument("ClusterRuntime: cannot fit " +
+                                std::to_string(cfg.hosts) +
+                                " hosts on this fabric");
   }
   std::vector<topo::NodeId> hosts;
   hosts.reserve(placed.size());
@@ -45,7 +44,7 @@ void ClusterRuntime::set_metrics(obs::Metrics* metrics) {
 
 RunOutcome ClusterRuntime::run() {
   engine_->start();
-  while (!engine_->done()) engine_->resume();  // single mode: already done
+  while (!engine_->done()) engine_->resume();
   RunOutcome out = engine_->outcome();
   // Held-back (reordered) collector batches land after the run ends.
   engine_->flush_telemetry();

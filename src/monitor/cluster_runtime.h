@@ -18,11 +18,10 @@
 // goodput. With recovery disabled the runtime reproduces the legacy
 // stop-at-first-fault behaviour bit for bit.
 //
-// The lifecycle logic itself lives in monitor::JobEngine (the resumable
-// coroutine form the fleet scheduler multiplexes); ClusterRuntime is the
-// single-job shell over it: it owns the FluidSim, acquires hosts through
-// the placement-policy seam (JobConfig::placement; InOrder reproduces
-// the legacy first-n acquisition), and drives the engine to completion.
+// The lifecycle logic itself lives in monitor::JobEngine, the resumable
+// coroutine the fleet scheduler multiplexes. ClusterRuntime runs one
+// engine alone: it owns the FluidSim, takes the first cfg.hosts fabric
+// hosts, and resumes the engine until it is done.
 #pragma once
 
 #include <memory>
@@ -47,11 +46,9 @@ class StreamAnalyzer;
 
 class ClusterRuntime {
  public:
-  /// Acquires cfg.hosts fabric hosts through the placement policy
-  /// (cfg.placement; the default InOrder takes the first n in fabric
-  /// order, the legacy behaviour). Throws std::invalid_argument when
-  /// the job does not fit the fabric or cfg.recovery is enabled and
-  /// invalid (see validate_recovery).
+  /// Takes the first cfg.hosts fabric hosts in fabric order. Throws
+  /// std::invalid_argument when the job does not fit the fabric or
+  /// cfg.recovery is enabled and invalid (see validate_recovery).
   ClusterRuntime(topo::Fabric& fabric, JobConfig cfg, std::uint64_t seed = 1);
 
   /// Schedules one fault; call before run(). May be called repeatedly —

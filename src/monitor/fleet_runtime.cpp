@@ -135,8 +135,7 @@ core::Json FleetOutcome::to_json() const {
 
 FleetRuntime::FleetRuntime(topo::Fabric& fabric, FleetConfig cfg)
     : fabric_(fabric), cfg_(cfg), rng_(cfg.seed) {
-  sim_ = std::make_unique<net::FluidSim>(fabric_, net::FluidSimConfig{},
-                                         cfg_.seed);
+  sim_ = std::make_unique<net::FluidSim>(fabric_);
   free_.assign(fabric_.topo().hosts().size(), 1);
 }
 
@@ -161,9 +160,6 @@ int FleetRuntime::submit(FleetJobSpec spec, std::vector<FaultSpec> local_faults)
     }
   }
   spec.job.job_id = id;
-  // The fleet owns placement: every tenant goes through the sweep's
-  // policy so campaigns compare policies apples to apples.
-  spec.job.placement = cfg_.placement;
   jobs_.emplace_back();
   JobRt& job = jobs_.back();
   job.spec = std::move(spec);
@@ -253,8 +249,7 @@ void FleetRuntime::start_segment(JobRt& job) {
   std::uint64_t salt = static_cast<std::uint64_t>(job.ledger.segments.size());
   std::uint64_t seed = job.spec.seed + salt * 0x9e3779b97f4a7c15ull;
   job.engine = std::make_unique<JobEngine>(fabric_, *sim_, jc, seed,
-                                           job.host_nodes, /*fleet_mode=*/true,
-                                           job.start_iteration);
+                                           job.host_nodes, job.start_iteration);
   job.engine->set_tracer(tracer_);
   job.engine->set_metrics(metrics_);
   if (stream_) job.engine->set_stream_analyzer(stream_);

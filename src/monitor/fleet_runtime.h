@@ -24,9 +24,10 @@
 //    uncheckpointed work (committed-but-uncheckpointed iterations are
 //    replayed by the next segment) and re-queues from its checkpoint.
 //
-// A fleet running exactly one job with no fleet faults reproduces the
-// single-job ClusterRuntime ledger bit for bit (enforced by
-// monitor_fleet_test and the fleet-campaign CI gate).
+// ClusterRuntime drives the same JobEngine through the same suspend/
+// resume path with one tenant, so a fleet running exactly one job with no
+// fleet faults reproduces the ClusterRuntime ledger bit for bit (enforced
+// by monitor_fleet_test and the fleet-campaign CI gate).
 #pragma once
 
 #include <deque>

@@ -74,14 +74,13 @@ void JobEngine::RunTask::promise_type::unhandled_exception() {
 
 JobEngine::JobEngine(topo::Fabric& fabric, net::FluidSim& sim, JobConfig cfg,
                      std::uint64_t seed, std::vector<topo::NodeId> hosts,
-                     bool fleet_mode, int start_iteration)
+                     int start_iteration)
     : fabric_(fabric),
       sim_(&sim),
       cfg_(std::move(cfg)),
       rng_(seed),
       jitter_rng_(seed ^ 0x6a09e667f3bcc909ull),
       hosts_(std::move(hosts)),
-      fleet_(fleet_mode),
       start_iteration_(start_iteration) {
   if (cfg_.recovery.enabled) {
     if (auto err = validate_recovery(cfg_.recovery)) {
@@ -665,11 +664,9 @@ bool JobEngine::begin_mitigation(FaultRt* fr, Manifestation observed,
       rec.recover_time = rc.backoff_base *
                          std::pow(rc.backoff_factor, static_cast<double>(fr->retries));
       // Opt-in seeded jitter decorrelates tenants retrying after one
-      // shared fault; at 0 no draw happens and the wait is unchanged.
-      if (rc.backoff_jitter > 0.0) {
-        rec.recover_time *=
-            1.0 + rc.backoff_jitter * (2.0 * jitter_rng_.uniform() - 1.0);
-      }
+      // shared fault; at 0 the factor is exactly 1 and the wait unchanged.
+      rec.recover_time *=
+          1.0 + rc.backoff_jitter * (2.0 * jitter_rng_.uniform() - 1.0);
       ++fr->retries;
       ++out_.retries;
       // Waiting out a transient counts as an attempt toward self-heal.
@@ -782,14 +779,6 @@ void JobEngine::strike_fault(FaultRt& fr) {
   }
 }
 
-bool JobEngine::own_flows_drained() const {
-  for (net::FlowId fid : flows_) {
-    const auto& st = sim_->flow(fid);
-    if (st.admitted && st.finish < 0 && !st.aborted) return false;
-  }
-  return true;
-}
-
 JobEngine::RunTask JobEngine::run_co() {
   const RecoveryConfig& rc = cfg_.recovery;
 
@@ -806,9 +795,9 @@ JobEngine::RunTask JobEngine::run_co() {
   FaultRt* resp = nullptr;
 
   while (iter_ < cfg_.iterations) {
-    // Fleet interposition point: in fleet mode the engine parks here once
-    // per iteration so the scheduler can deliver faults or interrupt with
-    // no attempt in flight. Zero-advance; single mode skips it entirely.
+    // Interposition point: the engine parks here once per iteration so
+    // the runtime resuming it can deliver faults or interrupt with no
+    // attempt in flight. Zero-advance.
     co_await boundary();
     iter_start_ = now_;
     in_attempt_ = true;
@@ -984,13 +973,11 @@ JobEngine::RunTask JobEngine::run_co() {
               [](const Strike& a, const Strike& b) { return a.t < b.t; });
     std::size_t next_strike = 0;
 
-    // Step the simulation, sampling QP rates (ms-level monitoring). On a
-    // shared fleet fabric "the fabric is idle" no longer means "my wave
-    // drained": fleet mode tracks the job's own flows instead (provably
-    // the same condition when the job is alone on the fabric).
+    // Step the simulation, sampling QP rates (ms-level monitoring), until
+    // the job's own wave drains: other flows on the sim (fleet tenants or
+    // anything else) never hold the phase open.
     Seconds deadline = comm_start + hang_deadline_;
-    while (!(fleet_ ? own_flows_drained() : sim_->idle()) &&
-           sim_->now() < deadline) {
+    while (comm_in_flight() && sim_->now() < deadline) {
       Seconds step_to = std::min(deadline, sim_->now() + cfg_.qp_sample_interval);
       if (next_strike < strikes.size()) {
         step_to = std::min(step_to, strikes[next_strike].t);

@@ -1,25 +1,20 @@
-// Resumable single-job lifecycle engine: the full ClusterRuntime fault /
-// mitigation state machine (fault activation at iteration boundaries,
-// mid-transfer strikes, retry-backoff / reroute / isolate-restart-from-
-// checkpoint, the availability ledger) restructured as a coroutine that
-// yields whenever it needs simulated time to pass.
+// Resumable single-job lifecycle engine: the full fault / mitigation
+// state machine (fault activation at iteration boundaries, mid-transfer
+// strikes, retry-backoff / reroute / isolate-restart-from-checkpoint,
+// the availability ledger) as a coroutine that yields whenever it needs
+// simulated time to pass.
 //
-// Two drive modes share one code path:
-//
-//  * Single mode (fleet_mode = false): awaits never suspend — the engine
-//    advances its own FluidSim inline, so start() executes the entire run
-//    exactly as the old ClusterRuntime::run_job() did, byte for byte
-//    (same RNG draw order, same telemetry, same trace events, same
-//    ledger). ClusterRuntime is now a thin shell over this engine.
-//
-//  * Fleet mode: every forward sim advance suspends with a wake time and
-//    the engine parks at each iteration boundary, so a fleet scheduler
-//    can interleave many engines over one shared FluidSim, deliver
-//    faults that strike mid-flight, and interrupt a job for preemption
-//    or elastic shrink/regrow. The sim is only ever advanced by the
-//    resumed engine (to its own awaited time, which the scheduler
-//    guarantees is the global minimum), keeping the fluid model exact
-//    for every tenant.
+// There is one drive path. Every forward sim advance suspends with a wake
+// time, and the engine parks at each iteration boundary. The runtime that
+// owns the engine resumes it once the shared FluidSim may advance to that
+// wake time, and the resumed engine advances the sim itself. A comm phase ends when the
+// job's own flows drain (or its collective timeout fires), whatever else
+// the sim carries. ClusterRuntime drives one engine alone on its sim
+// (`start(); while (!done()) resume();`); FleetRuntime interleaves many
+// over one shared sim, always resuming the engine whose wake time is the
+// global minimum, so the fluid model stays exact for every tenant. Its
+// boundary parks are where it delivers faults, preempts, and shrinks or
+// regrows a job.
 #pragma once
 
 #include <coroutine>
@@ -32,11 +27,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/rng.h"
 #include "monitor/faults.h"
 #include "monitor/store.h"
 #include "net/fluid_sim.h"
 #include "net/wcmp.h"
-#include "parallel/placement.h"
 
 namespace astral::obs {
 class Tracer;
@@ -64,8 +59,8 @@ struct RecoveryConfig {
   double backoff_factor = 2.0;       ///< Exponential backoff multiplier.
   /// Seeded retry-backoff jitter as a ± fraction of the computed wait
   /// (0.25 -> ±25%), so concurrent tenants hit by one fault don't retry
-  /// in lockstep. 0 (the default) draws nothing and is byte-identical
-  /// to the pre-jitter engine. Must lie in [0, 1).
+  /// in lockstep. 0 (the default) leaves every wait unchanged. Must lie
+  /// in [0, 1).
   double backoff_jitter = 0.0;
 };
 
@@ -107,7 +102,7 @@ struct GrayRoutingConfig {
 };
 
 struct JobConfig {
-  int hosts = 16;         ///< Job hosts (acquired via `placement`).
+  int hosts = 16;         ///< Job hosts.
   int iterations = 10;
   core::Seconds compute_time = 0.05;  ///< Healthy per-iteration compute.
   core::Bytes comm_bytes = 32 * 1024 * 1024;  ///< Per ring QP per iteration.
@@ -119,9 +114,6 @@ struct JobConfig {
   /// after the first occurrence; before that the root cause is invisible.
   bool pcie_monitoring = true;
   RecoveryConfig recovery;
-  /// Host-acquisition policy (see parallel::place_hosts). InOrder is the
-  /// legacy ClusterRuntime behaviour: the first n fabric hosts.
-  parallel::HostPolicy placement = parallel::HostPolicy::InOrder;
   /// Ambient trace key identifying this job in a campaign-wide flight
   /// recording (see obs::TraceKeys); purely observational.
   std::int64_t job_id = 0;
@@ -196,14 +188,13 @@ struct HostConfig {
 class JobEngine {
  public:
   /// `hosts` are the fabric host nodes backing ranks 0..cfg.hosts-1 (the
-  /// placement decision is the caller's). In fleet mode the engine
-  /// cooperates with a scheduler (see the drive protocol below) and a
-  /// segment may resume from `start_iteration` (must be a checkpoint
-  /// multiple). Throws std::invalid_argument when cfg.recovery is
-  /// enabled and invalid (see validate_recovery).
+  /// placement decision is the caller's). A fleet segment may resume
+  /// from `start_iteration` (must be a checkpoint multiple). Throws
+  /// std::invalid_argument when cfg.recovery is enabled and invalid (see
+  /// validate_recovery).
   JobEngine(topo::Fabric& fabric, net::FluidSim& sim, JobConfig cfg,
             std::uint64_t seed, std::vector<topo::NodeId> hosts,
-            bool fleet_mode = false, int start_iteration = 0);
+            int start_iteration = 0);
   ~JobEngine();
   JobEngine(const JobEngine&) = delete;
   JobEngine& operator=(const JobEngine&) = delete;
@@ -224,18 +215,17 @@ class JobEngine {
   FaultSpec make_gray_fault(GrayKind kind, int at_iteration,
                             int hops_from_src = 2);
 
-  // ---- Drive protocol. start() begins the run; in single mode it
-  // executes to completion, in fleet mode it runs until the first
-  // suspension. While !done(), resume() continues execution once the
-  // shared sim has reached wake_time() (the scheduler guarantees the
-  // engine's awaited time is the global minimum before resuming; the
-  // engine then advances the sim itself).
+  // ---- Drive protocol. start() runs until the first suspension. While
+  // !done(), resume() continues execution; the owning runtime resumes only
+  // when no other tenant of the sim wakes before wake_time(), and the
+  // engine then advances the sim to it itself.
   void start();
   bool started() const { return started_; }
   bool done() const { return done_; }
   core::Seconds wake_time() const { return wake_; }
-  /// Parked at an iteration boundary (fleet interposition point: safe to
-  /// deliver boundary faults or interrupt with zero attempt in flight).
+  /// Parked at an iteration boundary (the owning runtime's interposition
+  /// point: safe to deliver boundary faults or interrupt with zero
+  /// attempt in flight).
   bool at_boundary() const { return at_boundary_; }
   void resume();
 
@@ -341,23 +331,23 @@ class JobEngine {
     std::coroutine_handle<promise_type> handle;
   };
 
-  /// co_await sim_until(t): single mode (or t already reached) advances
-  /// the sim inline; fleet mode parks until the scheduler says t is the
-  /// global minimum, then advances the shared sim itself.
+  /// co_await sim_until(t): parks until the owning runtime resumes the
+  /// engine at wake time t, then advances the shared sim to t itself. A t
+  /// the sim has already reached runs on without parking.
   struct SimUntil {
     JobEngine* e;
     core::Seconds t;
-    bool await_ready() const { return !e->fleet_ || t <= e->sim_->now(); }
+    bool await_ready() const { return t <= e->sim_->now(); }
     void await_suspend(std::coroutine_handle<>) { e->wake_ = t; }
     void await_resume() { e->sim_->run(t); }
   };
   SimUntil sim_until(core::Seconds t) { return SimUntil{this, t}; }
 
-  /// co_await boundary(): fleet-mode-only zero-advance yield at the top
-  /// of every iteration, the scheduler's interposition point.
+  /// co_await boundary(): zero-advance park at the top of every
+  /// iteration, the owning runtime's interposition point.
   struct Boundary {
     JobEngine* e;
-    bool await_ready() const { return !e->fleet_; }
+    bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<>) {
       e->wake_ = e->sim_->now();
       e->at_boundary_ = true;
@@ -396,14 +386,13 @@ class JobEngine {
                         core::Seconds attempt_wall);
   void finish_mitigation();
   void strike_fault(FaultRt& fr);
-  bool own_flows_drained() const;
   net::FlowSpec ring_spec(int rank) const;
 
   topo::Fabric& fabric_;
   net::FluidSim* sim_;
   JobConfig cfg_;
   core::Rng rng_;
-  core::Rng jitter_rng_;  ///< Drawn only when backoff_jitter > 0.
+  core::Rng jitter_rng_;  ///< Retry-backoff jitter only.
   TelemetryStore store_;
   std::vector<topo::NodeId> hosts_;
   std::vector<HostConfig> host_configs_;
@@ -426,8 +415,7 @@ class JobEngine {
   StreamAnalyzer* stream_ = nullptr;
 
   // ---- Run state (members so fleet hooks can read/adjust them while
-  // the coroutine is parked; the old run_job() locals otherwise).
-  bool fleet_ = false;
+  // the coroutine is parked).
   int start_iteration_ = 0;
   core::Seconds start_time_ = 0.0;
   RunOutcome out_;
@@ -447,8 +435,6 @@ class JobEngine {
   bool done_ = false;
   bool at_boundary_ = false;
   core::Seconds wake_ = 0.0;
-
-  friend class ClusterRuntime;
 };
 
 }  // namespace astral::monitor

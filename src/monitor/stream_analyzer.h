@@ -193,7 +193,7 @@ class StreamAnalyzer {
   StreamAnalyzer& operator=(const StreamAnalyzer&) = delete;
 
   // ---- Subscriptions. One per live TelemetryStore (per JobEngine
-  // segment in fleet mode). The analyzer must outlive its subscribed
+  // segment under FleetRuntime). The analyzer must outlive its subscribed
   // stores or be detached (unsubscribe) first.
 
   /// Attaches at `store`'s ingestion seam. Records already in the store

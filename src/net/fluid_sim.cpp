@@ -35,8 +35,8 @@ void timed_solve(obs::Histogram* hist, Solve&& solve) {
 }
 }  // namespace
 
-FluidSim::FluidSim(topo::Fabric& fabric, Config cfg, std::uint64_t seed)
-    : fabric_(fabric), router_(fabric), cfg_(cfg), rng_(seed) {
+FluidSim::FluidSim(topo::Fabric& fabric, Config cfg)
+    : fabric_(fabric), router_(fabric), cfg_(cfg) {
   const std::size_t nlinks = fabric_.topo().link_count();
   stats_.resize(nlinks);
   degrade_.assign(nlinks, 1.0);

@@ -31,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "core/rng.h"
 #include "core/units.h"
 #include "net/flow.h"
 #include "net/router.h"
@@ -81,7 +80,7 @@ class FluidSim {
   /// are honored at the next flow admission. Link *capacities* are cached
   /// at construction (scaled by degrade_link); mutate capacity through
   /// degrade_link, not the fabric.
-  FluidSim(topo::Fabric& fabric, Config cfg = {}, std::uint64_t seed = 1);
+  FluidSim(topo::Fabric& fabric, Config cfg = {});
   ~FluidSim();
 
   /// Injects a flow; routing happens immediately (paths are pinned at QP
@@ -245,7 +244,6 @@ class FluidSim {
   topo::Fabric& fabric_;
   Router router_;
   Config cfg_;
-  core::Rng rng_;
   core::Seconds now_ = 0.0;
   core::Seconds accumulated_until_ = 0.0;  ///< Stats integrated up to here.
 

@@ -405,7 +405,7 @@ void ShardSolver::run_shards(bool timed) {
     if (!pool_ || pool_->lanes() != threads) {
       pool_ = std::make_unique<core::ThreadPool>(threads);
     }
-    pool_->parallel_for(todo_.size(), [this, timed](std::size_t i, int) {
+    pool_->parallel_for(todo_.size(), [this, timed](std::size_t i) {
       solve_shard(shards_[todo_[i]], timed);
     });
   } else {

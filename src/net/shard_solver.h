@@ -8,8 +8,9 @@
 // connected bottleneck components of the active paths, each compiled into
 // a dense shard-local CSR problem (local link ids, contiguous path and
 // member arrays, per-shard arenas) — across events, and solves the shards
-// independently: concurrently on a core::ThreadPool when configured, or
-// inline. Progressive filling inside a shard freezes links in (share,
+// independently: concurrently on a core::ThreadPool when configured (one
+// item per dirty shard, taken from a shared cursor), or inline.
+// Progressive filling inside a shard freezes links in (share,
 // link id) heap order: local link ids ascend with global ids, demand
 // accumulates in active-set order, and freeze order mirrors the
 // persistent member lists. Every shard is a function of its own inputs

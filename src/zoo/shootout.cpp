@@ -143,9 +143,8 @@ struct WaveOutcome {
 };
 
 // Runs one same-start wave on a fresh simulator over `fabric`.
-WaveOutcome run_wave(topo::Fabric& fabric, const std::vector<FlowSpec>& specs,
-                     std::uint64_t seed) {
-  FluidSim sim(fabric, {}, seed);
+WaveOutcome run_wave(topo::Fabric& fabric, const std::vector<FlowSpec>& specs) {
+  FluidSim sim(fabric);
   auto ids = sim.inject_batch(specs);
   sim.run();
   WaveOutcome out;
@@ -263,12 +262,12 @@ ShootoutReport run_shootout(const ShootoutConfig& cfg) {
     topo::Fabric fabric(params);
     auto specs = storm_specs(fabric, cfg.flow_bytes);
     {
-      FluidSim probe(fabric, {}, cfg.seed);
+      FluidSim probe(fabric);
       EcmpController ctl(probe);
       polarize_ports(probe, specs, cfg.storm_port_candidates);
       r.storm_load_before = ctl.max_link_load(specs);
       r.fairness_before = core::jain_fairness(link_loads(ctl, specs));
-      auto unmitigated = run_wave(fabric, specs, cfg.seed);
+      auto unmitigated = run_wave(fabric, specs);
       r.util_before = unmitigated.max_overload;
 
       for (int round = 0; round < cfg.rebalance_rounds; ++round) {
@@ -277,7 +276,7 @@ ShootoutReport run_shootout(const ShootoutConfig& cfg) {
       r.storm_load_after = ctl.max_link_load(specs);
       r.storm_bound = ctl.rebalance_bound(specs);
       r.fairness_after = core::jain_fairness(link_loads(ctl, specs));
-      auto mitigated = run_wave(fabric, specs, cfg.seed);
+      auto mitigated = run_wave(fabric, specs);
       r.util_after = mitigated.max_overload;
       r.storm_goodput_gbps =
           mitigated.makespan > 0 ? mitigated.bytes * 8.0 / mitigated.makespan / 1e9 : 0.0;
@@ -287,8 +286,8 @@ ShootoutReport run_shootout(const ShootoutConfig& cfg) {
     {
       auto background = background_specs(fabric, cfg.flow_bytes);
       auto incast = incast_specs(fabric, cfg.flow_bytes);
-      double alone = run_wave(fabric, background, cfg.seed).makespan;
-      FluidSim sim(fabric, {}, cfg.seed);
+      double alone = run_wave(fabric, background).makespan;
+      FluidSim sim(fabric);
       auto bg_ids = sim.inject_batch(background);
       sim.inject_batch(incast);
       sim.run_watch(bg_ids);
@@ -299,13 +298,13 @@ ShootoutReport run_shootout(const ShootoutConfig& cfg) {
     // --- Failure blast radius (FaultSchedule sweep) ---
     {
       auto traffic = storm_specs(fabric, cfg.flow_bytes);
-      double baseline = run_wave(fabric, traffic, cfg.seed).makespan;
+      double baseline = run_wave(fabric, traffic).makespan;
       auto sched = blast_schedule(fabric);
       double avail_sum = 0.0, blast_sum = 0.0;
       for (const auto& fault : sched.faults) {
         // Fresh fabric per fault: set_link_up mutates routing state.
         topo::Fabric scratch(params);
-        FluidSim sim(scratch, {}, cfg.seed);
+        FluidSim sim(scratch);
         auto ids = sim.inject_batch(traffic);
         apply_fault(sim, fault);
         auto rep = sim.reroute_flows();

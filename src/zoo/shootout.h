@@ -2,7 +2,7 @@
 // adversarial campaigns and emits one ranked cost/performance/availability
 // table (the ROADMAP "topology zoo + adversarial routing scenarios" item).
 //
-// Campaigns, all seeded and deterministic:
+// Campaigns, all deterministic:
 //  * Polarization storm — an adversary greedily picks UDP source ports to
 //    maximize ECMP collisions on a rail-0 intra-pod permutation plus a
 //    rail-1 cross-pod permutation; the EcmpController must defuse the
@@ -46,7 +46,6 @@ struct ShootoutConfig {
   core::Bytes flow_bytes = 16ull << 20;  ///< Per-flow transfer size.
   int storm_port_candidates = 8;  ///< Adversary's ports tried per flow.
   int rebalance_rounds = 8;       ///< Controller convergence budget.
-  std::uint64_t seed = 1;
 
   // Cost model, relative units.
   double cost_per_gbps = 0.5;       ///< Optics, per duplex Gbps.

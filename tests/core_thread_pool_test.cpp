@@ -1,8 +1,8 @@
-// core::ThreadPool: the work-stealing pool under the sharded max-min
-// solver. The contract under test: every item in [0, n) runs exactly
-// once, lanes are valid arena indices, back-to-back jobs never bleed
-// into each other (the straggler hazard), and a single-lane pool runs
-// inline without spawning threads.
+// core::ThreadPool: the shared-cursor parallel_for under the sharded
+// max-min solver. The contract under test: every item in [0, n) runs
+// exactly once, back-to-back jobs never bleed into each other (the
+// straggler hazard), and a single-lane pool runs inline without spawning
+// threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,8 +21,7 @@ TEST(ThreadPool, SingleLaneRunsInlineInOrder) {
   EXPECT_EQ(pool.lanes(), 1);
   const auto caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  pool.parallel_for(100, [&](std::size_t i, int lane) {
-    EXPECT_EQ(lane, 0);
+  pool.parallel_for(100, [&](std::size_t i) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(i);
   });
@@ -42,9 +41,7 @@ TEST(ThreadPool, EveryItemRunsExactlyOnce) {
     ThreadPool pool(lanes);
     constexpr std::size_t kItems = 10000;
     std::vector<std::atomic<int>> hits(kItems);
-    pool.parallel_for(kItems, [&](std::size_t i, int lane) {
-      ASSERT_GE(lane, 0);
-      ASSERT_LT(lane, pool.lanes());
+    pool.parallel_for(kItems, [&](std::size_t i) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < kItems; ++i) {
@@ -56,25 +53,26 @@ TEST(ThreadPool, EveryItemRunsExactlyOnce) {
 TEST(ThreadPool, EmptyAndSingleItemJobs) {
   ThreadPool pool(4);
   int ran = 0;
-  pool.parallel_for(0, [&](std::size_t, int) { ++ran; });
+  pool.parallel_for(0, [&](std::size_t) { ++ran; });
   EXPECT_EQ(ran, 0);
-  pool.parallel_for(1, [&](std::size_t i, int lane) {
+  const auto caller = std::this_thread::get_id();
+  pool.parallel_for(1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
-    EXPECT_EQ(lane, 0);  // n == 1 runs inline on the caller.
+    EXPECT_EQ(std::this_thread::get_id(), caller);  // n == 1 runs inline.
     ++ran;
   });
   EXPECT_EQ(ran, 1);
 }
 
-// Uneven per-item cost forces stealing: lane 0's chunk is made slow so
-// other lanes must steal from its back for the job to finish promptly.
-TEST(ThreadPool, StealingCoversSkewedWork) {
+// Uneven per-item cost: the first quarter of the items is slow, so the
+// lanes that draw them fall behind while the others take the rest.
+TEST(ThreadPool, SharedCursorCoversSkewedWork) {
   ThreadPool pool(4);
   constexpr std::size_t kItems = 64;
   std::vector<std::atomic<int>> hits(kItems);
   std::atomic<long long> checksum{0};
-  pool.parallel_for(kItems, [&](std::size_t i, int) {
-    if (i < kItems / 4) {  // lane 0's chunk
+  pool.parallel_for(kItems, [&](std::size_t i) {
+    if (i < kItems / 4) {
       volatile long long sink = 0;
       for (int k = 0; k < 200000; ++k) sink = sink + k;
       checksum.fetch_add(sink, std::memory_order_relaxed);
@@ -92,7 +90,7 @@ TEST(ThreadPool, BackToBackJobsDoNotBleed) {
   constexpr std::size_t kItems = 257;
   for (int j = 0; j < kJobs; ++j) {
     std::atomic<long long> sum{0};
-    pool.parallel_for(kItems, [&sum, j](std::size_t i, int) {
+    pool.parallel_for(kItems, [&sum, j](std::size_t i) {
       sum.fetch_add(j * 1000 + static_cast<long long>(i),
                     std::memory_order_relaxed);
     });
@@ -103,33 +101,10 @@ TEST(ThreadPool, BackToBackJobsDoNotBleed) {
   }
 }
 
-// Lane indices let callers write into pre-sized per-lane arenas without
-// synchronization; per-lane tallies must add up to every item.
-TEST(ThreadPool, PerLaneArenasSeeAllItems) {
-  ThreadPool pool(3);
-  constexpr std::size_t kItems = 5000;
-  std::vector<std::vector<std::size_t>> arenas(
-      static_cast<std::size_t>(pool.lanes()));
-  pool.parallel_for(kItems, [&](std::size_t i, int lane) {
-    arenas[static_cast<std::size_t>(lane)].push_back(i);
-  });
-  std::vector<char> seen(kItems, 0);
-  std::size_t total = 0;
-  for (const auto& a : arenas) {
-    for (std::size_t i : a) {
-      ASSERT_LT(i, kItems);
-      ASSERT_EQ(seen[i], 0);
-      seen[i] = 1;
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, kItems);
-}
-
 TEST(ThreadPool, MoreLanesThanItems) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
-  pool.parallel_for(3, [&](std::size_t i, int) {
+  pool.parallel_for(3, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);

@@ -323,7 +323,7 @@ TEST(Recovery, BackoffJitterOffIsByteIdentical) {
     rt.inject(rt.make_fault(RootCause::LinkFlap, Manifestation::FailStop, 2));
     return rt.run();
   };
-  // jitter = 0 must not draw from any rng: bit-identical to the default.
+  // jitter = 0 scales every wait by exactly 1: bit-identical to the default.
   expect_same_outcome(run_once(0.0), run_once(0.0));
 
   RunOutcome plain = run_once(0.0);

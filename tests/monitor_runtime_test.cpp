@@ -193,5 +193,49 @@ TEST(ClusterRuntime, LinkFlapIsTransient) {
   EXPECT_EQ(outcome.observed, Manifestation::FailSlow);
 }
 
+// A flow that is not the job's own, on another rail and between hosts
+// outside the job, shares no link with the job's ring. It must not hold
+// the job's comm phases open: each phase ends when the job's own flows
+// drain, so the ledger is bit-identical to the run without it.
+TEST(ClusterRuntime, ForeignFlowDoesNotStretchIterations) {
+  auto run = [](bool foreign) {
+    auto f = test_fabric();
+    JobConfig job;
+    job.hosts = 12;
+    job.iterations = 8;
+    job.comm_bytes = 8ull * 1024 * 1024;
+    job.recovery.enabled = true;
+    ClusterRuntime rt(f, job, 7);
+    net::FlowId id = 0;
+    if (foreign) {
+      net::FlowSpec spec;
+      spec.src_host = f.topo().hosts()[12];
+      spec.dst_host = f.topo().hosts()[13];
+      spec.src_rail = 1;
+      spec.dst_rail = 1;
+      spec.size = 1ull << 40;  // outlives the whole job
+      id = rt.sim().inject(spec);
+    }
+    RunOutcome out = rt.run();
+    if (foreign) {
+      const auto& st = rt.sim().flow(id);
+      EXPECT_TRUE(st.admitted);
+      EXPECT_LT(st.finish, 0.0);  // still in flight when the job ends
+    }
+    return out;
+  };
+  const RunOutcome alone = run(false);
+  const RunOutcome shared = run(true);
+  ASSERT_TRUE(alone.completed);
+  EXPECT_EQ(shared.completed, alone.completed);
+  EXPECT_EQ(shared.committed_iterations, alone.committed_iterations);
+  EXPECT_EQ(shared.useful_time, alone.useful_time);
+  EXPECT_EQ(shared.wasted_time, alone.wasted_time);
+  EXPECT_EQ(shared.downtime, alone.downtime);
+  EXPECT_EQ(shared.makespan, alone.makespan);
+  EXPECT_EQ(shared.goodput, alone.goodput);
+  EXPECT_EQ(shared.mitigations.size(), alone.mitigations.size());
+}
+
 }  // namespace
 }  // namespace astral::monitor

@@ -75,8 +75,8 @@ std::vector<std::vector<double>> run_schedule(FluidSim& sim,
 TEST(EpochWrap, SolveAcrossWrapMatchesUnwrappedTwin) {
   topo::Fabric fabric_a(fabric_params());
   topo::Fabric fabric_b(fabric_params());
-  FluidSim normal(fabric_a, {}, /*seed=*/5);
-  FluidSim wrapping(fabric_b, {}, /*seed=*/5);
+  FluidSim normal(fabric_a);
+  FluidSim wrapping(fabric_b);
   // Three increments from the top: the first few solves straddle the
   // wrap of every counter family.
   wrapping.debug_set_epoch_counters(std::numeric_limits<std::uint64_t>::max() - 3);
@@ -101,7 +101,7 @@ TEST(EpochWrap, SolveAcrossWrapMatchesUnwrappedTwin) {
 // different fixed point).
 TEST(EpochWrap, PostWrapResolveIsIdempotent) {
   topo::Fabric fabric(fabric_params());
-  FluidSim sim(fabric, {}, /*seed=*/5);
+  FluidSim sim(fabric);
   sim.debug_set_epoch_counters(std::numeric_limits<std::uint64_t>::max() - 1);
   auto hosts = fabric.topo().hosts();
   for (int i = 0; i < 32; ++i) {

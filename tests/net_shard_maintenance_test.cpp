@@ -177,7 +177,7 @@ std::vector<std::uint64_t> run_churn(const Scenario& sc, int lanes) {
   topo::Fabric fabric(params_for(sc));
   FluidSimConfig cfg;
   cfg.solver_threads = lanes;
-  FluidSim sim(fabric, cfg, sc.seed);
+  FluidSim sim(fabric, cfg);
   core::Rng rng(sc.seed * 7919);
 
   // Staggered waves land on links earlier waves still hold (merges);
@@ -502,7 +502,7 @@ TEST(ShardMaintenance, PartitionInvariantsHoldAfterEveryEvent) {
     topo::Fabric fabric(p);
     FluidSimConfig cfg;
     cfg.solver_threads = rng.chance(0.5) ? 4 : 1;
-    FluidSim sim(fabric, cfg, 5 + static_cast<std::uint64_t>(sc));
+    FluidSim sim(fabric, cfg);
 
     std::vector<FlowId> pending;
     for (int w = 0; w < 6; ++w) {

@@ -6,8 +6,8 @@
 //
 // One deterministic scenario script (waves of same-pod and cross-pod
 // flows on an oversubscribed AstralSameRail fabric, with mid-run
-// degradations, a link flap, and an abort) is replayed into identically
-// seeded simulators that differ only in solver lane count; flow rates,
+// degradations, a link flap, and an abort) is replayed into identical
+// simulators that differ only in solver lane count; flow rates,
 // hop latencies (capturing published per-link overloads) and final byte
 // counters are compared exactly.
 //
@@ -64,7 +64,7 @@ struct Observation {
 // the solver publishes.
 Observation run_script(const FluidSimConfig& cfg) {
   topo::Fabric fabric(fabric_params());
-  FluidSim sim(fabric, cfg, /*seed=*/42);
+  FluidSim sim(fabric, cfg);
   auto hosts = fabric.topo().hosts();
   const std::size_t nhosts = hosts.size();
   core::Rng rng(99);

@@ -87,7 +87,7 @@ void run_randomized_sweep(const FluidSimConfig& cfg, int scenarios,
     p.dual_tor = rng.chance(0.5);
     p.tier3_oversub = rng.chance(0.3) ? 2.0 : 1.0;
     topo::Fabric fabric(p);
-    FluidSim sim(fabric, cfg, /*seed=*/7 + static_cast<std::uint64_t>(sc));
+    FluidSim sim(fabric, cfg);
     sim.set_metrics(&metrics);
     auto hosts = fabric.topo().hosts();
     // Rail-only fabrics have no inter-pod connectivity: stay in pod 0.
