@@ -8,7 +8,10 @@
 // ./BENCH_fleet.json) so the repo keeps a scheduling-throughput
 // trajectory next to BENCH_fluid.json. Exit status mirrors the
 // acceptance checks: every point completes >= 80% of its jobs and the
-// per-job scheduling overhead stays under 50ms wall-clock.
+// per-job wall clock of the whole run (scheduler, engines and simulator)
+// stays under 2 ms. A Release build measured 0.20-0.26 ms per job on a
+// 4-vCPU x86-64 VM; the bound leaves headroom for slower CI hosts while
+// still catching a per-job cost that grows by an order of magnitude.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +25,8 @@ namespace {
 
 using namespace astral;
 using Clock = std::chrono::steady_clock;
+
+constexpr double kMaxWallPerJobMs = 2.0;  ///< Acceptance bound, see above.
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -177,13 +182,13 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"min_completion_rate\": %.4f,\n", min_completion);
   std::fprintf(f, "    \"min_completion_rate_required\": 0.80,\n");
   std::fprintf(f, "    \"max_wall_per_job_ms\": %.3f,\n", max_wall_per_job_ms);
-  std::fprintf(f, "    \"max_wall_per_job_ms_required\": 50.0\n");
+  std::fprintf(f, "    \"max_wall_per_job_ms_required\": %.1f\n", kMaxWallPerJobMs);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s (min completion %.0f%%, max wall/job %.2fms)\n",
               out_path.c_str(), min_completion * 100.0, max_wall_per_job_ms);
 
-  const bool ok = min_completion >= 0.80 && max_wall_per_job_ms <= 50.0;
+  const bool ok = min_completion >= 0.80 && max_wall_per_job_ms <= kMaxWallPerJobMs;
   return ok ? 0 : 2;
 }

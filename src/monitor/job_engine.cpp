@@ -1000,26 +1000,39 @@ JobEngine::RunTask JobEngine::run_co() {
       ++next_strike;
     }
 
-    // Per-iteration switch counter collection (SNMP + MOD).
-    for (std::size_t l = 0; l < fabric_.topo().link_count(); ++l) {
-      const auto& ls = sim_->link_stats(static_cast<topo::LinkId>(l));
-      std::uint64_t drops = 0;
-      for (const FaultRt& fr : faults_) {
-        // Gray faults slow traffic down but drop nothing; phantom MOD
-        // drops would read as a blackhole to the analyzer.
-        if (fr.spec.gray != GrayKind::None) continue;
-        if (fr.applied && !fr.healed &&
-            fr.spec.target_link == static_cast<topo::LinkId>(l)) {
-          for (net::FlowId fid : flows_) {
-            const auto& st = sim_->flow(fid);
-            if (st.finish < 0) drops += static_cast<std::uint64_t>(st.remaining);
-          }
-          break;
-        }
+    // Per-iteration switch counter collection (SNMP + MOD). Only links
+    // the sim touched since its last reset can hold ECN/PFC counts, and
+    // only the targets of active crisp faults report MOD drops: sample
+    // those, in link order.
+    mod_links_.clear();
+    for (const FaultRt& fr : faults_) {
+      // Gray faults slow traffic down but drop nothing; phantom MOD
+      // drops would read as a blackhole to the analyzer.
+      if (fr.spec.gray == GrayKind::None && fr.applied && !fr.healed &&
+          fr.spec.target_link < fabric_.topo().link_count()) {
+        mod_links_.push_back(fr.spec.target_link);
       }
-      if (ls.ecn_marks || ls.pfc_pauses || drops) {
-        ingest(LinkCounterSample{sim_->now(), static_cast<topo::LinkId>(l),
-                                        ls.ecn_marks, ls.pfc_pauses, drops, 0.0});
+    }
+    std::uint64_t drops = 0;  // The wave's bytes still in flight.
+    if (!mod_links_.empty()) {
+      std::sort(mod_links_.begin(), mod_links_.end());
+      for (net::FlowId fid : flows_) {
+        const auto& st = sim_->flow(fid);
+        if (st.finish < 0) drops += static_cast<std::uint64_t>(st.remaining);
+      }
+    }
+    const std::span<const topo::LinkId> touched = sim_->touched_links();
+    counter_links_.assign(touched.begin(), touched.end());
+    counter_links_.insert(counter_links_.end(), mod_links_.begin(), mod_links_.end());
+    std::sort(counter_links_.begin(), counter_links_.end());
+    counter_links_.erase(std::unique(counter_links_.begin(), counter_links_.end()),
+                         counter_links_.end());
+    for (topo::LinkId l : counter_links_) {
+      const auto& ls = sim_->link_stats(l);
+      const std::uint64_t mod =
+          std::binary_search(mod_links_.begin(), mod_links_.end(), l) ? drops : 0;
+      if (ls.ecn_marks || ls.pfc_pauses || mod) {
+        ingest(LinkCounterSample{sim_->now(), l, ls.ecn_marks, ls.pfc_pauses, mod, 0.0});
       }
     }
 

@@ -424,6 +424,10 @@ class JobEngine {
   core::Seconds iter_start_ = 0.0;
   std::vector<core::Seconds> iter_useful_;
   std::vector<net::FlowId> flows_;
+  /// Counter-pass scratch: sampled links, and the active crisp faults'
+  /// target links (both sorted).
+  std::vector<topo::LinkId> counter_links_;
+  std::vector<topo::LinkId> mod_links_;
   core::Seconds hang_deadline_ = 0.0;
   core::Seconds healthy_iter_ = 0.0;
   MitigationRecord pending_rec_;

@@ -39,6 +39,8 @@ FluidSim::FluidSim(topo::Fabric& fabric, Config cfg)
     : fabric_(fabric), router_(fabric), cfg_(cfg) {
   const std::size_t nlinks = fabric_.topo().link_count();
   stats_.resize(nlinks);
+  touched_.reserve(nlinks);
+  touched_flag_.assign(nlinks, 0);
   degrade_.assign(nlinks, 1.0);
   effcap_.resize(nlinks);
   for (std::size_t l = 0; l < nlinks; ++l) {
@@ -166,6 +168,13 @@ void FluidSim::add_live(topo::LinkId l) {
   if (live_pos_[l] != kNotLive) return;
   live_pos_[l] = static_cast<std::uint32_t>(live_links_.size());
   live_links_.push_back(l);
+  touch(l);
+}
+
+void FluidSim::touch(topo::LinkId l) {
+  if (touched_flag_[l]) return;
+  touched_flag_[l] = 1;
+  touched_.push_back(l);
 }
 
 void FluidSim::retire_live(topo::LinkId l) {
@@ -571,7 +580,12 @@ void FluidSim::recycle_finished() {
 }
 
 void FluidSim::reset_stats() {
-  std::fill(stats_.begin(), stats_.end(), LinkStats{});
+  for (topo::LinkId l : touched_) {
+    stats_[l] = LinkStats{};
+    touched_flag_[l] = 0;
+  }
+  touched_.clear();
+  for (topo::LinkId l : live_links_) touch(l);
   peaks_reset_ = true;
 }
 

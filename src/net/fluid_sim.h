@@ -121,6 +121,13 @@ class FluidSim {
 
   const LinkStats& link_stats(topo::LinkId id) const { return stats_[id]; }
 
+  /// Every link whose counters may be nonzero: the links that carried
+  /// flows at some point since the last reset_stats() (or since
+  /// construction). An unordered superset of the links with nonzero
+  /// LinkStats; every link outside it reads LinkStats{} exactly. Counter
+  /// collectors walk this instead of the whole fabric.
+  std::span<const topo::LinkId> touched_links() const { return touched_; }
+
   /// Instantaneous per-hop forwarding latency (INT view).
   core::Seconds hop_latency(topo::LinkId id) const;
 
@@ -176,7 +183,10 @@ class FluidSim {
 
   /// Resets ECN/PFC/byte counters (e.g. between controller rounds). Peak
   /// overloads restart at zero; the next full solve raises every loaded
-  /// link's peak to its current overload.
+  /// link's peak to its current overload. Costs O(touched links): only
+  /// links that carried flows since the last reset can be nonzero. The
+  /// touched list then restarts as the links carrying flows now, since
+  /// those keep accumulating.
   void reset_stats();
 
   /// Total bytes still in flight.
@@ -233,8 +243,11 @@ class FluidSim {
   /// Runs the full solve a run deferred, before run_impl returns with
   /// flows still active, so rates sampled between runs are current.
   void finish_pending_solve();
-  /// Appends a link to live_links_ unless it is already there.
+  /// Appends a link to live_links_ unless it is already there, and
+  /// touches it.
   void add_live(topo::LinkId l);
+  /// Appends a link to touched_ unless it is already there.
+  void touch(topo::LinkId l);
   /// Zeroes a link's published state and removes it from live_links_;
   /// the last entry takes its slot.
   void retire_live(topo::LinkId l);
@@ -252,7 +265,13 @@ class FluidSim {
   // Pending arrivals sorted by start time (min-heap by start).
   std::vector<FlowId> pending_;
 
+  /// Only links in touched_ may be nonzero: every stats writer writes
+  /// live links only (accumulate_until, PFC on upstream links with rate,
+  /// the shard publish of peaks and the solve_full peak refresh), and a
+  /// link enters touched_ whenever it enters live_links_.
   std::vector<LinkStats> stats_;
+  std::vector<topo::LinkId> touched_;
+  std::vector<std::uint8_t> touched_flag_;  ///< 1 iff the link is in touched_.
   std::vector<double> degrade_;
   std::vector<double> effcap_;  ///< capacity * degrade, cached.
   // Published per-link view of the current solution (what accumulate_

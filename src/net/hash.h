@@ -7,6 +7,7 @@
 // exactly, and the controller runs this very same "hash simulator".
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace astral::net {
@@ -27,17 +28,37 @@ struct FiveTuple {
 std::uint16_t crc16(const std::uint8_t* data, std::size_t len, std::uint16_t init = 0);
 
 /// Switch-ASIC ECMP hash model shared by the data plane and the central
-/// controller's hash simulator.
+/// controller's hash simulator. The hash is two stages: the linear CRC of
+/// the tuple, then a per-switch salt folded in. A router computes the CRC
+/// once per flow and folds in each hop's salt.
 class EcmpHash {
  public:
+  /// The salt-independent stage: CRC-16 of the tuple's 13-byte wire
+  /// encoding (IPs and ports big-endian, then the protocol).
+  static std::uint16_t crc(const FiveTuple& t);
+
+  /// Folds a switch salt into a tuple CRC. The salt enters after the
+  /// linear stage, so per-switch decisions differ while tuple-linearity
+  /// within one switch is preserved.
+  static std::uint16_t fold(std::uint16_t crc, std::uint32_t salt) {
+    const auto s = static_cast<std::uint16_t>(salt ^ (salt >> 16));
+    return static_cast<std::uint16_t>(crc ^ s ^ static_cast<std::uint16_t>(s << 5));
+  }
+
   /// Hash of the tuple as seen by the switch with the given salt (salts
   /// decorrelate hop-level decisions; many real ASICs use a per-switch
-  /// seed for the same reason).
-  std::uint16_t hash(const FiveTuple& t, std::uint32_t salt) const;
+  /// seed for the same reason). Equals fold(crc(t), salt).
+  std::uint16_t hash(const FiveTuple& t, std::uint32_t salt) const { return fold(crc(t), salt); }
+
+  /// Picks one of n equal-cost candidates given the tuple's CRC. n must
+  /// be > 0.
+  static int pick(std::uint16_t crc, std::uint32_t salt, int n) {
+    return static_cast<int>(fold(crc, salt) % static_cast<std::uint16_t>(n));
+  }
 
   /// Picks one of n equal-cost candidates. n must be > 0.
   int select(const FiveTuple& t, std::uint32_t salt, int n) const {
-    return static_cast<int>(hash(t, salt) % static_cast<std::uint16_t>(n));
+    return pick(crc(t), salt, n);
   }
 };
 

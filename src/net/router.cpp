@@ -34,7 +34,9 @@ std::optional<std::vector<topo::LinkId>> Router::route(const FlowSpec& spec,
   const topo::Topology& topo = fabric_.topo();
   if (spec.src_host == spec.dst_host) return std::nullopt;
 
-  EcmpHash hasher;
+  // Every hop hashes the same tuple, and the switch salt folds in after
+  // the linear CRC stage: one CRC serves the whole path.
+  const std::uint16_t crc = EcmpHash::crc(tuple);
   const int sides = topo.sides();
   const auto& dst_node = topo.node(spec.dst_host);
 
@@ -47,8 +49,7 @@ std::optional<std::vector<topo::LinkId>> Router::route(const FlowSpec& spec,
     return rail;
   };
 
-  std::vector<topo::LinkId> path;
-  int s1 = sides > 1 ? hasher.select(tuple, spec.src_host * 2654435761u, sides) : 0;
+  int s1 = sides > 1 ? EcmpHash::pick(crc, spec.src_host * 2654435761u, sides) : 0;
   topo::LinkId first = topo.host_uplink(spec.src_host, spec.src_rail, s1);
   if (first == topo::kInvalidLink) {
     s1 = 0;
@@ -61,7 +62,6 @@ std::optional<std::vector<topo::LinkId>> Router::route(const FlowSpec& spec,
     first = topo.host_uplink(spec.src_host, spec.src_rail, s1);
   }
   if (first == topo::kInvalidLink || !topo.link(first).up) return std::nullopt;
-  path.push_back(first);
   topo::NodeId cur = topo.link(first).dst;
 
   // Destination ToR: same-rail flows stay in the plane (side) they
@@ -69,16 +69,20 @@ std::optional<std::vector<topo::LinkId>> Router::route(const FlowSpec& spec,
   const int dst_tor_rail = tor_rail_for(dst_node, spec.dst_rail);
   int s2 = spec.src_rail == spec.dst_rail
                ? s1
-               : (sides > 1 ? hasher.select(tuple, spec.dst_host * 2654435761u, sides) : 0);
+               : (sides > 1 ? EcmpHash::pick(crc, spec.dst_host * 2654435761u, sides) : 0);
   // A delivery plane works only if the ToR is reachable from the source
   // side AND still owns a live *direct* downlink to the host (distance
   // 1). A dead ToR->host link strands the plane even when the spine can
-  // reach the ToR: next_hops would then detour back up through the
-  // aggregation tier, and the single appended last hop would leave the
-  // path dangling mid-fabric.
+  // reach the ToR: the shortest path would then detour back up through
+  // the aggregation tier, and the single appended last hop would leave
+  // the path dangling mid-fabric. Each destination's distance field is
+  // looked up once.
+  const std::span<const int> to_dst = topo.distances(spec.dst_host);
+  std::span<const int> to_target;
   auto plane_ok = [&](topo::NodeId tor) {
-    return tor != topo::kInvalidNode && topo.distance(cur, tor) >= 0 &&
-           topo.distance(tor, spec.dst_host) == 1;
+    if (tor == topo::kInvalidNode || to_dst[tor] != 1) return false;
+    to_target = topo.distances(tor);
+    return to_target[cur] >= 0;
   };
   topo::NodeId target = fabric_.tor_at(dst_node.pod, dst_node.block, dst_tor_rail,
                                        std::min(s2, sides - 1));
@@ -90,18 +94,33 @@ std::optional<std::vector<topo::LinkId>> Router::route(const FlowSpec& spec,
     if (!plane_ok(target)) return std::nullopt;
   }
 
+  // Uplink, one hashed ECMP pick per step of the distance field, then the
+  // downlink. Each pick counts the candidates and walks to the chosen one
+  // in place rather than building the candidate set.
+  std::vector<topo::LinkId> path;
+  path.reserve(static_cast<std::size_t>(to_target[cur]) + 2);
+  path.push_back(first);
   while (cur != target) {
-    auto hops = topo.next_hops(cur, target);
-    if (hops.empty()) return std::nullopt;
-    topo::LinkId pick = hops[static_cast<std::size_t>(
-        hasher.select(tuple, cur * 0x85ebca6bu, static_cast<int>(hops.size())))];
-    path.push_back(pick);
-    cur = topo.link(pick).dst;
+    int n = 0;
+    topo.for_each_next_hop(cur, to_target, [&](topo::LinkId) {
+      ++n;
+      return false;
+    });
+    if (n == 0) return std::nullopt;
+    int k = EcmpHash::pick(crc, cur * 0x85ebca6bu, n);
+    topo.for_each_next_hop(cur, to_target, [&](topo::LinkId lid) {
+      if (k-- != 0) return false;
+      path.push_back(lid);
+      return true;
+    });
+    cur = topo.link(path.back()).dst;
   }
-
-  auto last_hops = topo.next_hops(target, spec.dst_host);
-  if (last_hops.empty()) return std::nullopt;
-  path.push_back(last_hops.front());
+  // The first next hop from the delivery ToR to the host: a live direct
+  // downlink, which plane_ok guarantees.
+  topo.for_each_next_hop(target, to_dst, [&](topo::LinkId lid) {
+    path.push_back(lid);
+    return true;
+  });
   return path;
 }
 

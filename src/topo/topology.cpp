@@ -1,7 +1,6 @@
 #include "topo/topology.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace astral::topo {
 
@@ -22,6 +21,9 @@ NodeId Topology::add_node(Node node) {
   nodes_.push_back(std::move(node));
   out_.emplace_back();
   in_.emplace_back();
+  uplinks_.emplace_back();
+  route_cache_.emplace_back();
+  invalidate_routes();
   return nodes_.back().id;
 }
 
@@ -34,7 +36,7 @@ LinkId Topology::add_link(NodeId src, NodeId dst, core::Bps capacity) {
   links_.push_back(l);
   out_[src].push_back(l.id);
   in_[dst].push_back(l.id);
-  route_cache_.clear();
+  invalidate_routes();
   return l.id;
 }
 
@@ -47,75 +49,75 @@ std::pair<LinkId, LinkId> Topology::add_duplex(NodeId a, NodeId b, core::Bps cap
 void Topology::set_host_uplink(NodeId host, int rail, int side, LinkId link) {
   rails_ = std::max(rails_, rail + 1);
   sides_ = std::max(sides_, side + 1);
-  auto& v = uplinks_[host];
+  auto& v = uplinks_.at(host);
   std::size_t slot = static_cast<std::size_t>(rail) * 2 + static_cast<std::size_t>(side);
   if (v.size() <= slot) v.resize(slot + 1, kInvalidLink);
   v[slot] = link;
 }
 
 LinkId Topology::host_uplink(NodeId host, int rail, int side) const {
-  auto it = uplinks_.find(host);
-  if (it == uplinks_.end()) return kInvalidLink;
+  if (host >= uplinks_.size()) return kInvalidLink;
+  const std::vector<LinkId>& v = uplinks_[host];
   std::size_t slot = static_cast<std::size_t>(rail) * 2 + static_cast<std::size_t>(side);
-  if (slot >= it->second.size()) return kInvalidLink;
-  return it->second[slot];
+  if (slot >= v.size()) return kInvalidLink;
+  return v[slot];
 }
 
 void Topology::set_link_state(LinkId id, bool up) {
   if (links_[id].up != up) {
     links_[id].up = up;
-    route_cache_.clear();
+    invalidate_routes();
   }
 }
 
-const Topology::DestRoutes& Topology::routes_for(NodeId dst) const {
-  auto it = route_cache_.find(dst);
-  if (it != route_cache_.end()) return it->second;
+void Topology::invalidate_routes() {
+  for (NodeId d : cached_dsts_) std::vector<int>().swap(route_cache_[d]);
+  cached_dsts_.clear();
+}
 
-  DestRoutes routes;
-  routes.dist.assign(nodes_.size(), -1);
+std::span<const int> Topology::distances(NodeId dst) const {
+  std::vector<int>& dist = route_cache_[dst];
+  if (!dist.empty()) return dist;
+  dist.assign(nodes_.size(), -1);
+  cached_dsts_.push_back(dst);
 
   // BFS from dst over reversed up links yields the hop distance of every
-  // node to dst; a link u->v is a valid next hop iff dist[v] == dist[u]-1.
-  // Hosts never forward transit traffic, so they are only expanded when
-  // they are the destination itself.
-  std::deque<NodeId> queue;
-  routes.dist[dst] = 0;
-  queue.push_back(dst);
-  while (!queue.empty()) {
-    NodeId v = queue.front();
-    queue.pop_front();
+  // node to dst. Hosts never forward transit traffic, so they are only
+  // expanded when they are the destination itself.
+  bfs_queue_.clear();
+  dist[dst] = 0;
+  bfs_queue_.push_back(dst);
+  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
+    const NodeId v = bfs_queue_[head];
     if (nodes_[v].kind == NodeKind::Host && v != dst) continue;
     for (LinkId lid : in_[v]) {
       const Link& l = links_[lid];
       if (!l.up) continue;
-      if (routes.dist[l.src] == -1) {
-        routes.dist[l.src] = routes.dist[v] + 1;
-        queue.push_back(l.src);
+      if (dist[l.src] == -1) {
+        dist[l.src] = dist[v] + 1;
+        bfs_queue_.push_back(l.src);
       }
     }
   }
-  return route_cache_.emplace(dst, std::move(routes)).first->second;
+  return dist;
 }
 
 std::vector<LinkId> Topology::next_hops(NodeId from, NodeId dst) const {
-  const auto& dist = routes_for(dst).dist;
   std::vector<LinkId> hops;
-  if (dist[from] <= 0) return hops;
-  // out_ link ids are in insertion order, so candidates are deterministic.
-  for (LinkId lid : out_[from]) {
-    const Link& l = links_[lid];
-    if (l.up && dist[l.dst] == dist[from] - 1) hops.push_back(lid);
-  }
+  for_each_next_hop(from, distances(dst), [&](LinkId lid) {
+    hops.push_back(lid);
+    return false;
+  });
   return hops;
 }
 
-int Topology::distance(NodeId from, NodeId dst) const { return routes_for(dst).dist[from]; }
+int Topology::distance(NodeId from, NodeId dst) const { return distances(dst)[from]; }
 
 std::vector<std::vector<LinkId>> Topology::shortest_paths(NodeId src, NodeId dst,
                                                           std::size_t limit) const {
   std::vector<std::vector<LinkId>> result;
-  if (distance(src, dst) < 0) return result;
+  const std::span<const int> dist = distances(dst);
+  if (dist[src] < 0) return result;
   // DFS over the next-hop DAG; depth bounded by the shortest-path length.
   std::vector<LinkId> stack;
   auto dfs = [&](auto&& self, NodeId at) -> void {
@@ -124,12 +126,12 @@ std::vector<std::vector<LinkId>> Topology::shortest_paths(NodeId src, NodeId dst
       result.push_back(stack);
       return;
     }
-    for (LinkId lid : next_hops(at, dst)) {
+    for_each_next_hop(at, dist, [&](LinkId lid) {
       stack.push_back(lid);
       self(self, links_[lid].dst);
       stack.pop_back();
-      if (result.size() >= limit) return;
-    }
+      return result.size() >= limit;
+    });
   };
   dfs(dfs, src);
   return result;

@@ -61,9 +61,30 @@ class Topology {
   /// Marks a link (single direction) up or down and invalidates routes.
   void set_link_state(LinkId id, bool up);
 
+  /// Hop distance of every node to `dst` over up links (-1 where
+  /// unreachable), indexed by NodeId. Only distances are cached (O(nodes)
+  /// per destination, computed once); next hops are derived from them on
+  /// demand by for_each_next_hop. The span is valid until a node or link
+  /// is added or a link changes state.
+  std::span<const int> distances(NodeId dst) const;
+
+  /// Calls `f(link)` for each equal-cost next hop from `from` toward the
+  /// destination whose distance field is `dist` (from distances()): the
+  /// up out-links u->v with dist[v] == dist[u] - 1, in out_links order,
+  /// which is the ECMP candidate set. Stops once `f` returns true. Visits
+  /// nothing when `from` is the destination or cannot reach it.
+  template <class F>
+  void for_each_next_hop(NodeId from, std::span<const int> dist, F&& f) const {
+    if (dist[from] <= 0) return;
+    const int want = dist[from] - 1;
+    for (LinkId lid : out_[from]) {
+      const Link& l = links_[lid];
+      if (l.up && dist[l.dst] == want && f(lid)) return;
+    }
+  }
+
   /// Equal-cost next-hop links from `from` toward destination node `dst`
-  /// over up links only. Empty when `dst` is unreachable. Distances are
-  /// cached per destination; the cache resets on link state changes.
+  /// (for_each_next_hop, collected). Empty when `dst` is unreachable.
   std::vector<LinkId> next_hops(NodeId from, NodeId dst) const;
 
   /// Hop distance from `from` to `dst` over up links; -1 if unreachable.
@@ -84,14 +105,8 @@ class Topology {
   NodeId find(std::string_view name) const;
 
  private:
-  // Only distances are cached (O(nodes) per destination); next-hop sets
-  // are derived on demand from the distance field, keeping the cache
-  // small even with thousands of destinations.
-  struct DestRoutes {
-    std::vector<int> dist;  // per node, hops to the destination
-  };
-
-  const DestRoutes& routes_for(NodeId dst) const;
+  /// Frees every cached distance field; O(destinations cached).
+  void invalidate_routes();
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
@@ -99,12 +114,16 @@ class Topology {
   std::vector<std::vector<LinkId>> in_;
   std::vector<NodeId> hosts_;
   std::unordered_map<std::string, NodeId> by_name_;
-  // host -> rail -> side -> uplink
-  std::unordered_map<NodeId, std::vector<LinkId>> uplinks_;
+  // Per node (empty for non-hosts): uplink of (rail, side) at rail*2+side.
+  std::vector<std::vector<LinkId>> uplinks_;
   int rails_ = 0;
   int sides_ = 1;
 
-  mutable std::unordered_map<NodeId, DestRoutes> route_cache_;
+  // Per destination node: hops to it from every node, empty until
+  // computed. cached_dsts_ lists the nonempty entries.
+  mutable std::vector<std::vector<int>> route_cache_;
+  mutable std::vector<NodeId> cached_dsts_;
+  mutable std::vector<NodeId> bfs_queue_;  ///< distances() scratch.
 };
 
 }  // namespace astral::topo

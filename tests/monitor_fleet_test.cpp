@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 
@@ -367,6 +369,55 @@ TEST(Fleet, ArrivalProcessIsSeededAndDeterministic) {
     }
   }
   EXPECT_TRUE(differs);
+}
+
+// Every segment's ledger partitions its wall clock: useful + wasted +
+// downtime = makespan, within perfbench's fleet-campaign tolerance.
+TEST(Fleet, SegmentLedgersAddUpToMakespan) {
+  topo::Fabric fabric(fabric_params());
+  FleetConfig fc;
+  ArrivalProcessConfig ap;
+  ap.jobs = 10;
+  ap.arrival_rate = 4.0;
+  ap.sizes = {4, 8, 12};
+  ap.size_weights = {0.4, 0.4, 0.2};
+  ap.priorities = {0, 0, 1};
+  ap.iterations = 8;
+  ap.recovery.enabled = true;
+  ap.seed = 23;
+  FleetRuntime fleet(fabric, fc);
+  for (const FleetJobSpec& spec : generate_arrivals(ap)) fleet.submit(spec);
+  FleetFault link;
+  link.at_time = 0.3;
+  link.cause = RootCause::OpticalFiber;
+  link.manifestation = Manifestation::FailStop;
+  link.target_link = fabric.topo().out_links(fabric.topo().hosts()[0])[0];
+  link.heal_after = 2.0;
+  fleet.inject(link);
+  FleetFault host;
+  host.at_time = 0.8;
+  host.cause = RootCause::GpuHardware;
+  host.manifestation = Manifestation::FailStop;
+  host.target_host = 6;
+  fleet.inject(host);
+
+  const FleetOutcome out = fleet.run();
+  int segments = 0, preemptions = 0, mitigations = 0;
+  for (const FleetJobLedger& jl : out.jobs) {
+    preemptions += jl.preemptions;
+    for (std::size_t k = 0; k < jl.segments.size(); ++k) {
+      const RunOutcome& o = jl.segments[k].outcome;
+      ++segments;
+      mitigations += static_cast<int>(o.mitigations.size());
+      const double gap = o.useful_time + o.wasted_time + o.downtime - o.makespan;
+      EXPECT_LE(std::abs(gap), 1e-6 * std::max(1.0, o.makespan))
+          << "job " << jl.job_id << " segment " << k;
+    }
+  }
+  // The campaign must reach the ledger's other terms, not only useful time.
+  EXPECT_GT(segments, static_cast<int>(out.jobs.size()));
+  EXPECT_GT(preemptions, 0);
+  EXPECT_GT(mitigations, 0);
 }
 
 TEST(Fleet, MixedCampaignIsDeterministic) {

@@ -285,6 +285,18 @@ const std::vector<Scenario>& scenarios() {
        flapping_and_slow_nic, 17},
       {"gray_wcmp", [](JobConfig& j) { gray(j, GrayRoutingConfig::Mode::Wcmp); },
        flapping_and_slow_nic, 17},
+      // Two concurrent crisp network faults: a blackhole on the ring and
+      // a fail-slow fiber on a rail-1 uplink that no ring flow crosses.
+      // The second link carries no traffic, so its only counter samples
+      // are the MOD drops of the hung wave.
+      {"mod_drops_off_path", {},
+       [](auto& rt, auto& s) {
+         fault(rt, s, RootCause::SwitchBug, Manifestation::FailHang, 2);
+         FaultSpec idle = rt.make_fault(RootCause::OpticalFiber, Manifestation::FailSlow, 2);
+         idle.target_link = rt.sim().fabric().topo().host_uplink(rt.job_hosts()[0], 1, 0);
+         s.add(idle);
+       },
+       6},
       {"backoff_jitter_0",
        [](JobConfig& j) { j.recovery.backoff_jitter = 0.0; },
        [](auto& rt, auto& s) {
@@ -441,6 +453,30 @@ TEST(RuntimePin, ScenariosReachTheirMitigations) {
   EXPECT_TRUE(took(outcome("linkflap_retry"), MitigationAction::RetryBackoff));
   EXPECT_TRUE(took(outcome("switch_blackhole"), MitigationAction::Reroute));
   EXPECT_GT(outcome("tor_death_mid_transfer").reroutes, 0);
+  {
+    // The off-path fault's link reports MOD drops and nothing else.
+    const Scenario* sc = nullptr;
+    for (const Scenario& s : scenarios()) {
+      if (std::string(s.name) == "mod_drops_off_path") sc = &s;
+    }
+    ASSERT_NE(sc, nullptr);
+    topo::Fabric fabric(fabric_params());
+    ClusterRuntime rt(fabric, job_config(sc->recovery), sc->seed);
+    FaultSchedule schedule;
+    sc->faults(rt, schedule);
+    rt.inject(schedule);
+    rt.run();
+    const topo::LinkId idle = schedule.faults[1].target_link;
+    int samples = 0;
+    for (const LinkCounterSample& e : rt.telemetry().link_counters()) {
+      if (e.link != idle) continue;
+      ++samples;
+      EXPECT_EQ(e.ecn_marks, 0u);
+      EXPECT_EQ(e.pfc_pauses, 0u);
+      EXPECT_GT(e.mod_drops, 0u);
+    }
+    EXPECT_GT(samples, 0);
+  }
   EXPECT_GT(outcome("gray_binary_isolate").gray_isolates, 0);
   const RunOutcome wcmp = outcome("gray_wcmp");
   EXPECT_GT(wcmp.derates, 0);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <set>
 #include <string_view>
 #include <vector>
 
+#include "core/rng.h"
 #include "core/units.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -470,6 +473,99 @@ TEST(FluidSim, RecycleFinishedReleasesOnlyRetiredPaths) {
   EXPECT_GE(sim.flow(waiting).finish, 0.0);
   sim.recycle_finished();
   for (FlowId id : {running, waiting}) EXPECT_TRUE(sim.flow(id).path.empty());
+}
+
+// reset_stats() and counter collectors visit only touched links, which
+// is exact only if every link outside the touched list reads LinkStats{}
+// bit for bit. Churn with resets at random points, degrades (including
+// blackholes), aborts, and link-downs with reroutes tries to break that.
+TEST(FluidSim, UntouchedLinksReadZeroStats) {
+  auto zero = [](const LinkStats& ls) {
+    const LinkStats z{};
+    return std::memcmp(&ls, &z, sizeof z) == 0;
+  };
+  std::uint64_t seed = 1;
+  for (topo::FabricStyle style : topo::kAllFabricStyles) {
+    for (bool dual : {true, false}) {
+      SCOPED_TRACE(std::string(topo::to_string(style)) + (dual ? "/dual" : "/single"));
+      topo::FabricParams p;
+      p.style = style;
+      p.rails = 4;
+      p.hosts_per_block = 4;
+      p.blocks_per_pod = 2;
+      p.pods = 2;
+      p.dual_tor = dual;
+      topo::Fabric f(p);
+      FluidSim sim(f);
+      core::Rng rng(seed++);
+      const std::size_t nlinks = f.topo().link_count();
+      const int gpus = p.gpu_count();
+      std::vector<topo::LinkId> downed;
+      int resets = 0;
+      for (int step = 0; step < 80; ++step) {
+        // A few arrivals spread over the next 50 us.
+        for (int k = static_cast<int>(rng.uniform_int(4)); k > 0; --k) {
+          const int a = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(gpus)));
+          const int b = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(gpus)));
+          FlowSpec s = make_spec(f, a, b, (1 + rng.uniform_int(64)) * 16_KiB,
+                                 static_cast<std::uint64_t>(step));
+          s.start = sim.now() + rng.uniform(0.0, 50e-6);
+          sim.inject(s);
+        }
+        switch (rng.uniform_int(6)) {
+          case 0: {
+            sim.reset_stats();
+            ++resets;
+            for (std::size_t l = 0; l < nlinks; ++l) {
+              ASSERT_TRUE(zero(sim.link_stats(static_cast<topo::LinkId>(l))))
+                  << "link " << l << " after reset " << resets;
+            }
+            break;
+          }
+          case 1:
+            sim.degrade_link(static_cast<topo::LinkId>(rng.uniform_int(nlinks)),
+                             rng.uniform_int(3) == 0 ? 0.0 : 0.4);
+            break;
+          case 2:
+            if (!sim.active_flows().empty()) {
+              sim.abort_flow(sim.active_flows()[rng.uniform_int(sim.active_flows().size())]);
+            }
+            break;
+          case 3:
+            if (!sim.active_flows().empty()) {
+              const auto& path =
+                  sim.flow(sim.active_flows()[rng.uniform_int(sim.active_flows().size())]).path;
+              if (!path.empty()) {
+                const topo::LinkId l = path[rng.uniform_int(path.size())];
+                sim.set_link_up(l, false);
+                downed.push_back(l);
+                sim.reroute_flows();
+              }
+            }
+            break;
+          case 4:
+            for (topo::LinkId l : downed) sim.set_link_up(l, true);
+            downed.clear();
+            break;
+          default:
+            break;
+        }
+        sim.run(sim.now() + rng.uniform(0.0, 100e-6));
+
+        const auto touched = sim.touched_links();
+        const std::set<topo::LinkId> listed(touched.begin(), touched.end());
+        ASSERT_EQ(listed.size(), touched.size()) << "duplicate in the touched list";
+        for (std::size_t l = 0; l < nlinks; ++l) {
+          if (listed.count(static_cast<topo::LinkId>(l)) == 0) {
+            ASSERT_TRUE(zero(sim.link_stats(static_cast<topo::LinkId>(l))))
+                << "untouched link " << l << " at step " << step;
+          }
+        }
+      }
+      EXPECT_GT(resets, 0);
+      EXPECT_LT(sim.touched_links().size(), nlinks);
+    }
+  }
 }
 
 TEST(FluidSim, InjectBatchMatchesSequentialInject) {

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "core/rng.h"
+
 namespace astral::net {
 namespace {
 
@@ -23,6 +25,71 @@ TEST(Crc16, IsLinearOverGf2) {
   std::uint8_t xy[5];
   for (int i = 0; i < 5; ++i) xy[i] = x[i] ^ y[i];
   EXPECT_EQ(crc16(xy, 5), static_cast<std::uint16_t>(crc16(x, 5) ^ crc16(y, 5)));
+}
+
+// The MSB-first, bit-at-a-time CRC-16/CCITT (poly 0x1021) the table is
+// derived from.
+std::uint16_t bitwise_crc16(const std::uint8_t* data, std::size_t len) {
+  std::uint16_t crc = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= static_cast<std::uint16_t>(data[i]) << 8;
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                           : static_cast<std::uint16_t>(crc << 1);
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16, TableMatchesBitwiseReference) {
+  for (unsigned a = 0; a < 256; ++a) {
+    const std::uint8_t one[] = {static_cast<std::uint8_t>(a)};
+    ASSERT_EQ(crc16(one, 1), bitwise_crc16(one, 1)) << a;
+    for (unsigned b = 0; b < 256; ++b) {
+      const std::uint8_t two[] = {static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b)};
+      ASSERT_EQ(crc16(two, 2), bitwise_crc16(two, 2)) << a << ',' << b;
+    }
+  }
+  // The router hashes 13-byte tuples.
+  core::Rng rng(2024);
+  std::uint8_t buf[13];
+  for (int i = 0; i < 10000; ++i) {
+    for (std::uint8_t& byte : buf) byte = static_cast<std::uint8_t>(rng.uniform_int(256));
+    ASSERT_EQ(crc16(buf, sizeof buf), bitwise_crc16(buf, sizeof buf)) << i;
+  }
+}
+
+// The switch hash written out from scratch: the bitwise CRC of the
+// tuple's big-endian 13-byte encoding, then the salt fold.
+std::uint16_t reference_hash(const FiveTuple& t, std::uint32_t salt) {
+  const std::uint8_t buf[13] = {
+      static_cast<std::uint8_t>(t.src_ip >> 24), static_cast<std::uint8_t>(t.src_ip >> 16),
+      static_cast<std::uint8_t>(t.src_ip >> 8),  static_cast<std::uint8_t>(t.src_ip),
+      static_cast<std::uint8_t>(t.dst_ip >> 24), static_cast<std::uint8_t>(t.dst_ip >> 16),
+      static_cast<std::uint8_t>(t.dst_ip >> 8),  static_cast<std::uint8_t>(t.dst_ip),
+      static_cast<std::uint8_t>(t.src_port >> 8), static_cast<std::uint8_t>(t.src_port),
+      static_cast<std::uint8_t>(t.dst_port >> 8), static_cast<std::uint8_t>(t.dst_port),
+      t.proto};
+  const auto s = static_cast<std::uint16_t>(salt ^ (salt >> 16));
+  return static_cast<std::uint16_t>(bitwise_crc16(buf, sizeof buf) ^ s ^
+                                    static_cast<std::uint16_t>(s << 5));
+}
+
+TEST(EcmpHash, FoldOfTupleCrcEqualsHash) {
+  EcmpHash h;
+  core::Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    FiveTuple t;
+    t.src_ip = static_cast<std::uint32_t>(rng.next_u64());
+    t.dst_ip = static_cast<std::uint32_t>(rng.next_u64());
+    t.src_port = static_cast<std::uint16_t>(rng.uniform_int(65536));
+    const std::uint16_t crc = EcmpHash::crc(t);
+    for (std::uint32_t salt : {0u, 1u, static_cast<std::uint32_t>(rng.next_u64()),
+                               t.src_ip * 2654435761u, t.dst_ip * 0x85ebca6bu}) {
+      ASSERT_EQ(EcmpHash::fold(crc, salt), h.hash(t, salt)) << i << ' ' << salt;
+      ASSERT_EQ(h.hash(t, salt), reference_hash(t, salt)) << i << ' ' << salt;
+    }
+  }
 }
 
 TEST(EcmpHash, PortChangesMoveTheHash) {

@@ -70,6 +70,31 @@ TEST_P(FluidProperty, AllAdmittedFlowsComplete) {
   EXPECT_TRUE(sim.idle());
 }
 
+// A drained simulator holds no bytes: zero backlog, and every flow has
+// either finished or been aborted — here with a third of them aborted
+// mid-run.
+TEST_P(FluidProperty, DrainedSimHasNoBacklog) {
+  auto f = make_fabric();
+  FluidSim sim(f);
+  auto specs = make_specs(f);
+  std::vector<FlowId> ids;
+  for (const auto& s : specs) ids.push_back(sim.inject(s));
+  sim.run(1e-4);
+  for (std::size_t i = 0; i < ids.size(); i += 3) sim.abort_flow(ids[i]);
+  sim.run();
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.backlog(), 0u);
+  EXPECT_TRUE(sim.active_flows().empty());
+  for (FlowId id : ids) {
+    const auto& st = sim.flow(id);
+    ASSERT_TRUE(st.admitted);
+    EXPECT_TRUE(st.finish >= 0.0 || st.aborted) << id;
+    if (st.finish >= 0.0) {
+      EXPECT_EQ(st.remaining, 0.0) << id;
+    }
+  }
+}
+
 TEST_P(FluidProperty, ByteConservationPerLink) {
   auto f = make_fabric();
   FluidSim sim(f);
