@@ -1017,8 +1017,9 @@ JobEngine::RunTask JobEngine::run_co() {
     if (!mod_links_.empty()) {
       std::sort(mod_links_.begin(), mod_links_.end());
       for (net::FlowId fid : flows_) {
-        const auto& st = sim_->flow(fid);
-        if (st.finish < 0) drops += static_cast<std::uint64_t>(st.remaining);
+        if (sim_->flow(fid).finish < 0) {
+          drops += static_cast<std::uint64_t>(sim_->remaining(fid));
+        }
       }
     }
     const std::span<const topo::LinkId> touched = sim_->touched_links();

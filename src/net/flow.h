@@ -27,13 +27,14 @@ struct FlowSpec {
   std::uint64_t tag = 0;       ///< Caller-defined grouping (QP / collective op).
 };
 
-/// Runtime state of a flow.
+/// Runtime state of a flow. The two numbers every event reads, bytes
+/// left and current rate, live in FluidSim's dense per-flow drain array
+/// instead (FluidSim::remaining and FluidSim::current_rate), so the event
+/// loop's scans never touch this struct.
 struct FlowState {
   FlowSpec spec;
   FiveTuple tuple;
   std::vector<topo::LinkId> path;  ///< Host uplink ... ToR downlink.
-  double remaining = 0.0;  ///< Bytes left; double for exact fluid math.
-  double rate = 0.0;  ///< Current fluid rate, bits/sec.
   core::Seconds finish = -1.0;  ///< Completion time; <0 while active.
   bool admitted = false;  ///< False when routing failed (unreachable).
   /// True when the flow was torn down before completing (its sender

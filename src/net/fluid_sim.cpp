@@ -14,12 +14,20 @@ namespace astral::net {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr std::uint32_t kNotLive = std::numeric_limits<std::uint32_t>::max();
-// Active flows sit in admission order, scattered across flows_; the
-// per-event scans fetch this many flows ahead so their cache misses
+// Active flows sit in admission order, scattered across the drain array;
+// the per-event scans fetch this many flows ahead so their cache misses
 // overlap (the completion sweep of a 1M-flow drain ran about 2x faster
 // on a 4-vCPU x86-64 VM).
 constexpr std::size_t kScanPrefetch = 8;
+
+// Heap order of pending arrivals: earliest start on top.
+struct LaterStart {
+  template <typename P>
+  bool operator()(const P& a, const P& b) const { return a.start > b.start; }
+};
+
+// Share of a link's effective capacity in use, as stats integrate it.
+double util_of(double rate, double cap) { return cap > 0 ? std::min(1.0, rate / cap) : 0.0; }
 
 // Runs one solve; with a histogram attached, records its wall time there.
 template <typename Solve>
@@ -46,9 +54,6 @@ FluidSim::FluidSim(topo::Fabric& fabric, Config cfg)
   for (std::size_t l = 0; l < nlinks; ++l) {
     effcap_[l] = fabric_.topo().link(static_cast<topo::LinkId>(l)).capacity;
   }
-  link_demand_.assign(nlinks, 0.0);
-  link_overload_.assign(nlinks, 0.0);
-  link_rate_.assign(nlinks, 0.0);
   members_.resize(nlinks);
   live_pos_.assign(nlinks, kNotLive);
   mark_epoch_.assign(nlinks, 0);
@@ -73,7 +78,6 @@ FlowId FluidSim::inject_impl(const FlowSpec& spec, bool fix_heap) {
   FlowState st;
   st.spec = spec;
   st.tuple = router_.tuple_for(spec);
-  st.remaining = static_cast<double>(spec.size);
   auto path = router_.route(spec, st.tuple);
   if (path) {
     st.path = std::move(*path);
@@ -86,13 +90,10 @@ FlowId FluidSim::inject_impl(const FlowSpec& spec, bool fix_heap) {
   }
   FlowId id = static_cast<FlowId>(flows_.size());
   flows_.push_back(std::move(st));
+  drain_.push_back({static_cast<double>(spec.size), 0.0});
   if (flows_.back().admitted) {
-    pending_.push_back(id);
-    if (fix_heap) {
-      std::push_heap(pending_.begin(), pending_.end(), [this](FlowId a, FlowId b) {
-        return flows_[a].spec.start > flows_[b].spec.start;
-      });
-    }
+    pending_.push_back({spec.start, id});
+    if (fix_heap) std::push_heap(pending_.begin(), pending_.end(), LaterStart{});
   }
   return id;
 }
@@ -104,11 +105,7 @@ std::vector<FlowId> FluidSim::inject_batch(std::span<const FlowSpec> specs) {
   ids.reserve(specs.size());
   const std::size_t before = pending_.size();
   for (const FlowSpec& s : specs) ids.push_back(inject_impl(s, false));
-  if (pending_.size() != before) {
-    std::make_heap(pending_.begin(), pending_.end(), [this](FlowId a, FlowId b) {
-      return flows_[a].spec.start > flows_[b].spec.start;
-    });
-  }
+  if (pending_.size() != before) std::make_heap(pending_.begin(), pending_.end(), LaterStart{});
   return ids;
 }
 
@@ -167,7 +164,7 @@ bool FluidSim::batch_is_island(std::span<const FlowId> batch) {
 void FluidSim::add_live(topo::LinkId l) {
   if (live_pos_[l] != kNotLive) return;
   live_pos_[l] = static_cast<std::uint32_t>(live_links_.size());
-  live_links_.push_back(l);
+  live_links_.push_back({.link = l});
   touch(l);
 }
 
@@ -178,16 +175,34 @@ void FluidSim::touch(topo::LinkId l) {
 }
 
 void FluidSim::retire_live(topo::LinkId l) {
-  link_demand_[l] = 0.0;
-  link_overload_[l] = 0.0;
-  link_rate_[l] = 0.0;
   const std::uint32_t pos = live_pos_[l];
   if (pos == kNotLive) return;
-  const topo::LinkId last = live_links_.back();
-  live_links_[pos] = last;
-  live_pos_[last] = pos;
+  live_links_[pos] = live_links_.back();
+  live_pos_[live_links_[pos].link] = pos;
   live_links_.pop_back();
   live_pos_[l] = kNotLive;
+}
+
+void FluidSim::publish_link(topo::LinkId l, double rate, double overload, double demand) {
+  LiveLink& r = live_links_[live_pos_[l]];
+  r.rate = rate;
+  r.overload = overload;
+  r.busy = rate > 0 ? 1.0 : 0.0;
+  r.util = util_of(rate, effcap_[l]);
+  // A row with neither rate nor demand marks nothing, whatever the
+  // thresholds, so integrating it changes no counter.
+  r.loaded = rate > 0 || demand > 0;
+  r.ecn_excess = r.loaded && overload > cfg_.ecn_util_threshold
+                     ? overload - cfg_.ecn_util_threshold
+                     : 0.0;
+  r.pfc_excess = r.loaded && overload > cfg_.pfc_overload
+                     ? overload - cfg_.pfc_overload
+                     : 0.0;
+}
+
+void FluidSim::refresh_util(topo::LinkId l) {
+  const std::uint32_t pos = live_pos_[l];
+  if (pos != kNotLive) live_links_[pos].util = util_of(live_links_[pos].rate, effcap_[l]);
 }
 
 void FluidSim::set_metrics(obs::Metrics* metrics) {
@@ -204,8 +219,8 @@ void FluidSim::solve_full(bool every_shard) {
     // A full solve leaves every link that carries flows with a peak at
     // least its published overload. Solved shards raised theirs; after
     // reset_stats() the skipped ones need it too.
-    for (topo::LinkId l : live_links_) {
-      stats_[l].peak_overload = std::max(stats_[l].peak_overload, link_overload_[l]);
+    for (const LiveLink& r : live_links_) {
+      stats_[r.link].peak_overload = std::max(stats_[r.link].peak_overload, r.overload);
     }
     peaks_reset_ = false;
   }
@@ -222,38 +237,43 @@ void FluidSim::accumulate_until(core::Seconds t) {
   if (dt <= 0) return;
   const core::Seconds interval_start = accumulated_until_;
   accumulated_until_ = t;
-  const topo::Topology& topo = fabric_.topo();
-  for (topo::LinkId l : live_links_) {
-    if (link_rate_[l] <= 0 && link_demand_[l] <= 0) continue;
+  // Marks are ceil(dt * k * excess), evaluated left to right: the
+  // products dt * k are per event, not per link.
+  const double ecn_k = dt * cfg_.ecn_marks_per_flow_sec;
+  const double pfc_k = dt * cfg_.pfc_pauses_per_sec;
+  // Locals, so the stores into stats_ do not force reloads of the
+  // vectors' bounds every row.
+  const LiveLink* const rows = live_links_.data();
+  const auto nrows = static_cast<std::uint32_t>(live_links_.size());
+  LinkStats* const stats = stats_.data();
+  obs::Tracer* const tracer = tracer_;
+  pfc_rows_.clear();
+  for (std::uint32_t i = 0; i < nrows; ++i) {
+    const LiveLink& r = rows[i];
+    LinkStats& st = stats[r.link];
     // Sum over member flows of rate*dt equals the link's allocated rate.
-    stats_[l].bytes_forwarded += link_rate_[l] * dt / 8.0;
-    if (link_rate_[l] > 0) stats_[l].busy_time += dt;
-    const double cap = effcap_[l];
-    if (cap > 0) stats_[l].util_time += dt * std::min(1.0, link_rate_[l] / cap);
-    if (tracer_) {
+    st.bytes_forwarded += r.rate * dt / 8.0;
+    st.busy_time += dt * r.busy;
+    st.util_time += dt * r.util;
+    st.ecn_marks += static_cast<std::uint64_t>(std::ceil(ecn_k * r.ecn_excess));
+    if (r.pfc_excess > 0) pfc_rows_.push_back(i);
+    if (tracer != nullptr && r.loaded) {
       // Rates are piecewise constant over [interval_start, t]; one sample
       // at the interval start reproduces the step function exactly.
       obs::TraceKeys k;
-      k.link = static_cast<std::int64_t>(l);
-      tracer_->counter(obs::Track::Link, "util", interval_start,
-                       cap > 0 ? std::min(1.0, link_rate_[l] / cap) : 0.0, k);
+      k.link = static_cast<std::int64_t>(r.link);
+      tracer->counter(obs::Track::Link, "util", interval_start, r.util, k);
     }
-    const double overload = link_overload_[l];
-    if (overload > cfg_.ecn_util_threshold) {
-      double excess = overload - cfg_.ecn_util_threshold;
-      stats_[l].ecn_marks += static_cast<std::uint64_t>(
-          std::ceil(dt * cfg_.ecn_marks_per_flow_sec * excess));
-    }
-    if (overload > cfg_.pfc_overload) {
-      // The congested switch pauses every active upstream link: this is
-      // how a single hotspot spreads (the paper's PFC-storm incident).
-      topo::NodeId sw = topo.link(l).src;
-      for (topo::LinkId up : topo.in_links(sw)) {
-        if (link_rate_[up] > 0) {
-          stats_[up].pfc_pauses += static_cast<std::uint64_t>(
-              std::ceil(dt * cfg_.pfc_pauses_per_sec * (overload - cfg_.pfc_overload)));
-        }
-      }
+  }
+  // The congested switch pauses every active upstream link: this is how a
+  // single hotspot spreads (the paper's PFC-storm incident). Integer adds,
+  // so charging them after the pass changes no count.
+  const topo::Topology& topo = fabric_.topo();
+  for (std::uint32_t i : pfc_rows_) {
+    const LiveLink& r = rows[i];
+    const auto pauses = static_cast<std::uint64_t>(std::ceil(pfc_k * r.pfc_excess));
+    for (topo::LinkId up : topo.in_links(topo.link(r.link).src)) {
+      if (link_rate(up) > 0) stats_[up].pfc_pauses += pauses;
     }
   }
 }
@@ -274,16 +294,13 @@ void FluidSim::run_watch(std::span<const FlowId> watch, core::Seconds until) {
 }
 
 void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
-  auto pending_cmp = [this](FlowId a, FlowId b) {
-    return flows_[a].spec.start > flows_[b].spec.start;
-  };
   while (true) {
     // Admit everything that has started, as one batch (same-start waves
     // from collectives collapse into a single solve).
     admitted_batch_.clear();
-    while (!pending_.empty() && flows_[pending_.front()].spec.start <= now_ + 1e-15) {
-      std::pop_heap(pending_.begin(), pending_.end(), pending_cmp);
-      FlowId id = pending_.back();
+    while (!pending_.empty() && pending_.front().start <= now_ + 1e-15) {
+      std::pop_heap(pending_.begin(), pending_.end(), LaterStart{});
+      const FlowId id = pending_.back().id;
       pending_.pop_back();
       admit(id);
       admitted_batch_.push_back(id);
@@ -308,7 +325,7 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
         accumulated_until_ = std::max(accumulated_until_, now_);
         return;
       }
-      core::Seconds next = flows_[pending_.front()].spec.start;
+      const core::Seconds next = pending_.front().start;
       if (next > until) {
         now_ = until;
         accumulated_until_ = std::max(accumulated_until_, now_);
@@ -323,12 +340,12 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
     double min_dt = kInf;
     for (std::size_t i = 0; i < active_.size(); ++i) {
       if (i + kScanPrefetch < active_.size()) {
-        __builtin_prefetch(&flows_[active_[i + kScanPrefetch]].remaining);
+        __builtin_prefetch(&drain_[active_[i + kScanPrefetch]]);
       }
-      const FlowState& f = flows_[active_[i]];
-      if (f.rate > 0) min_dt = std::min(min_dt, f.remaining * 8.0 / f.rate);
+      const Drain& d = drain_[active_[i]];
+      if (d.rate > 0) min_dt = std::min(min_dt, d.remaining * 8.0 / d.rate);
     }
-    double dt_arrival = pending_.empty() ? kInf : flows_[pending_.front()].spec.start - now_;
+    double dt_arrival = pending_.empty() ? kInf : pending_.front().start - now_;
     double dt_until = until - now_;
     double dt = std::min({min_dt, dt_arrival, dt_until});
     if (!std::isfinite(std::min(min_dt, dt_arrival)) && !is_bounded(until)) {
@@ -350,15 +367,15 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
     std::size_t w = 0;
     for (std::size_t i = 0; i < active_.size(); ++i) {
       if (i + kScanPrefetch < active_.size()) {
-        __builtin_prefetch(&flows_[active_[i + kScanPrefetch]].remaining, 1);
+        __builtin_prefetch(&drain_[active_[i + kScanPrefetch]], 1);
       }
-      FlowState& f = flows_[active_[i]];
-      f.remaining -= f.rate * dt / 8.0;
-      bool done = f.rate > 0 && f.remaining * 8.0 / f.rate <= cfg_.completion_epsilon;
-      if (done || f.remaining <= 1e-6) {
-        f.remaining = 0.0;
-        f.rate = 0.0;
-        f.finish = now_;
+      Drain& d = drain_[active_[i]];
+      d.remaining -= d.rate * dt / 8.0;
+      bool done = d.rate > 0 && d.remaining * 8.0 / d.rate <= cfg_.completion_epsilon;
+      if (done || d.remaining <= 1e-6) {
+        d.remaining = 0.0;
+        d.rate = 0.0;
+        flows_[active_[i]].finish = now_;
         completed_batch_.push_back(active_[i]);
         retired_.push_back(active_[i]);
       } else {
@@ -408,7 +425,8 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
 }
 
 core::Seconds FluidSim::hop_latency(topo::LinkId id) const {
-  double overload = link_overload_[id];
+  const std::uint32_t pos = live_pos_[id];
+  const double overload = pos == kNotLive ? 0.0 : live_links_[pos].overload;
   double queue = overload > 1.0
                      ? cfg_.max_queue_delay * std::min(1.0, overload - 1.0)
                      : 0.0;
@@ -422,6 +440,7 @@ void FluidSim::degrade_link(topo::LinkId id, double factor) {
   accumulate_until(now_);
   degrade_[id] = std::max(0.0, factor);
   effcap_[id] = fabric_.topo().link(id).capacity * degrade_[id];
+  refresh_util(id);
   shard_->link_changed(id);
   if (!active_.empty()) solve_full();
 }
@@ -432,6 +451,7 @@ void FluidSim::set_link_up(topo::LinkId id, bool up) {
   accumulate_until(now_);
   fabric_.topo().set_link_state(id, up);
   effcap_[id] = up ? fabric_.topo().link(id).capacity * degrade_[id] : 0.0;
+  refresh_util(id);
   shard_->link_changed(id);
   if (!active_.empty()) solve_full();
 }
@@ -470,7 +490,7 @@ FluidSim::RerouteReport FluidSim::reroute_flows() {
     FlowState& f = flows_[id];
     if (f.path.empty() || !path_dead(f)) continue;
     remove_member(id);
-    f.rate = 0.0;
+    drain_[id].rate = 0.0;
     auto path = router_.route(f.spec, f.tuple);
     if (path && path_alive(*path)) {
       f.path = std::move(*path);
@@ -486,7 +506,8 @@ FluidSim::RerouteReport FluidSim::reroute_flows() {
 
   // Pending flows pinned their paths at injection; refresh dead ones so
   // they are not admitted onto a link that died while they queued.
-  for (FlowId id : pending_) {
+  for (const Pending& p : pending_) {
+    const FlowId id = p.id;
     FlowState& f = flows_[id];
     if (f.path.empty() || !path_dead(f)) continue;
     auto path = router_.route(f.spec, f.tuple);
@@ -531,7 +552,7 @@ void FluidSim::abort_flow(FlowId id) {
   if (!f.admitted || f.finish >= 0 || f.aborted) return;
   accumulate_until(now_);
   f.aborted = true;
-  f.rate = 0.0;
+  drain_[id].rate = 0.0;
   retired_.push_back(id);
   if (metrics_) metrics_->add("fluidsim.flows.aborted");
   if (tracer_) {
@@ -559,12 +580,11 @@ void FluidSim::abort_flow(FlowId id) {
     }
     return;
   }
-  auto p = std::find(pending_.begin(), pending_.end(), id);
+  auto p = std::find_if(pending_.begin(), pending_.end(),
+                        [id](const Pending& e) { return e.id == id; });
   if (p != pending_.end()) {
     pending_.erase(p);
-    std::make_heap(pending_.begin(), pending_.end(), [this](FlowId a, FlowId b) {
-      return flows_[a].spec.start > flows_[b].spec.start;
-    });
+    std::make_heap(pending_.begin(), pending_.end(), LaterStart{});
   }
 }
 
@@ -585,14 +605,14 @@ void FluidSim::reset_stats() {
     touched_flag_[l] = 0;
   }
   touched_.clear();
-  for (topo::LinkId l : live_links_) touch(l);
+  for (const LiveLink& r : live_links_) touch(r.link);
   peaks_reset_ = true;
 }
 
 core::Bytes FluidSim::backlog() const {
   double total = 0.0;
-  for (FlowId id : active_) total += flows_[id].remaining;
-  for (FlowId id : pending_) total += flows_[id].remaining;
+  for (FlowId id : active_) total += drain_[id].remaining;
+  for (const Pending& p : pending_) total += drain_[p.id].remaining;
   return static_cast<core::Bytes>(total);
 }
 

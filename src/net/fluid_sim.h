@@ -24,6 +24,12 @@
 // a completion wave that shared no link with the survivors needs no solve
 // at all. See DESIGN.md §6 and §11; src/net/maxmin_ref.{h,cpp} retains the
 // naive solver as the equivalence oracle.
+//
+// Each event makes three passes, and each reads dense, contiguous state:
+// the next-completion scan and the drain sweep read a 16-byte per-flow
+// {remaining, rate} array, stats integration walks one row per live link
+// (rate, overload and the per-interval factors the solve published), and
+// admission pops a heap whose entries carry their start time.
 #pragma once
 
 #include <memory>
@@ -117,7 +123,11 @@ class FluidSim {
 
   /// Current fluid rate of a flow (0 once finished) — the transport-layer
   /// ms-level QP rate monitor samples this.
-  double current_rate(FlowId id) const { return flows_[id].rate; }
+  double current_rate(FlowId id) const { return drain_[id].rate; }
+
+  /// Bytes a flow has left to send: its size until admitted, 0 once
+  /// finished; an aborted flow keeps what it had left.
+  double remaining(FlowId id) const { return drain_[id].remaining; }
 
   const LinkStats& link_stats(topo::LinkId id) const { return stats_[id]; }
 
@@ -136,7 +146,10 @@ class FluidSim {
 
   /// Rate allocated on a link by the current solution, bits/sec: the sum
   /// of its flows' rates, 0 when no active flow crosses it.
-  double link_rate(topo::LinkId id) const { return link_rate_[id]; }
+  double link_rate(topo::LinkId id) const {
+    const std::uint32_t pos = live_pos_[id];
+    return pos == kNotLive ? 0.0 : live_links_[pos].rate;
+  }
 
   /// Multiplies a link's effective capacity by `factor` (< 1 models a
   /// degraded optical module / broken PCIe lane). factor <= 0 blocks the
@@ -217,12 +230,45 @@ class FluidSim {
 
  private:
   friend class ShardSolver;
+  static constexpr std::uint32_t kNotLive = static_cast<std::uint32_t>(-1);
+
   /// An entry in a link's persistent member list: which flow crosses the
   /// link, and at which hop of its path (so swap-removal can fix the
   /// displaced flow's member_pos in O(1)).
   struct Member {
     FlowId flow;
     std::uint32_t hop;
+  };
+
+  /// What the per-event scans read of one flow, indexed by FlowId.
+  struct Drain {
+    double remaining = 0.0;  ///< Bytes left; double for exact fluid math.
+    double rate = 0.0;       ///< Current fluid rate, bits/sec.
+  };
+
+  /// A pending arrival. The start time rides along, so the heap orders
+  /// and pops entries without reading flows_.
+  struct Pending {
+    core::Seconds start;
+    FlowId id;
+  };
+
+  /// One link that carries flows, as the last solve of its shard
+  /// published it: the one per-link view of the current solution
+  /// (link_rate, hop_latency and PFC read it too). The factors are the
+  /// per-interval multipliers accumulate_until integrates, fixed at
+  /// publish so the pass is straight-line arithmetic: a row with neither
+  /// rate nor demand has every factor 0 and adds +0.0 and 0, which leaves
+  /// the non-negative counters bit for bit as skipping it would.
+  struct LiveLink {
+    double rate = 0.0;        ///< Allocated rate sum, bits/sec.
+    double overload = 0.0;    ///< Offered demand / effective capacity.
+    double busy = 0.0;        ///< 1 when rate > 0, else 0.
+    double util = 0.0;        ///< min(1, rate/effcap); 0 when effcap <= 0.
+    double ecn_excess = 0.0;  ///< overload - ecn_util_threshold, when above.
+    double pfc_excess = 0.0;  ///< overload - pfc_overload, when above: pauses upstream.
+    topo::LinkId link = topo::kInvalidLink;
+    bool loaded = false;  ///< Rate or demand > 0: traced as a util sample.
   };
 
   FlowId inject_impl(const FlowSpec& spec, bool fix_heap);
@@ -248,9 +294,13 @@ class FluidSim {
   void add_live(topo::LinkId l);
   /// Appends a link to touched_ unless it is already there.
   void touch(topo::LinkId l);
-  /// Zeroes a link's published state and removes it from live_links_;
-  /// the last entry takes its slot.
+  /// Removes a link's row from live_links_; the last row takes its slot.
   void retire_live(topo::LinkId l);
+  /// Writes a live link's row from its shard's solution. Touches only
+  /// that row, so shards publish concurrently.
+  void publish_link(topo::LinkId l, double rate, double overload, double demand);
+  /// Recomputes a live link's util factor after effcap_ changed.
+  void refresh_util(topo::LinkId l);
   /// Integrates stats over [accumulated_until_, t] at current rates.
   void accumulate_until(core::Seconds t);
 
@@ -261,9 +311,10 @@ class FluidSim {
   core::Seconds accumulated_until_ = 0.0;  ///< Stats integrated up to here.
 
   std::vector<FlowState> flows_;
+  std::vector<Drain> drain_;  ///< Parallel to flows_.
   std::vector<FlowId> active_;
-  // Pending arrivals sorted by start time (min-heap by start).
-  std::vector<FlowId> pending_;
+  std::vector<Pending> pending_;  ///< Min-heap by start.
+  std::vector<std::uint32_t> pfc_rows_;  ///< accumulate_until scratch.
 
   /// Only links in touched_ may be nonzero: every stats writer writes
   /// live links only (accumulate_until, PFC on upstream links with rate,
@@ -274,19 +325,16 @@ class FluidSim {
   std::vector<std::uint8_t> touched_flag_;  ///< 1 iff the link is in touched_.
   std::vector<double> degrade_;
   std::vector<double> effcap_;  ///< capacity * degrade, cached.
-  // Published per-link view of the current solution (what accumulate_
-  // until and hop_latency read). Only links in live_links_ are nonzero.
-  std::vector<double> link_demand_;
-  std::vector<double> link_overload_;
-  std::vector<double> link_rate_;  ///< Allocated rate sum per link.
 
   // --- incremental solver state ---
   std::vector<std::vector<Member>> members_;  ///< Per-link active flows.
   /// Links with published state: after each solve, exactly the links
-  /// that carry flows. New links are appended; a link whose last flow
-  /// left is zeroed and swap-removed, so the order is only stable until
-  /// then (trace export sorts the per-link samples accumulate_until emits).
-  std::vector<topo::LinkId> live_links_;
+  /// that carry flows. New links are appended (all zero until their
+  /// shard publishes); a link whose last flow left is swap-removed, so
+  /// the order is only stable until then (trace export sorts the
+  /// per-link samples accumulate_until emits). A link outside the list
+  /// reads 0 rate and base hop latency.
+  std::vector<LiveLink> live_links_;
   std::vector<std::uint32_t> live_pos_;  ///< Index in live_links_, or kNotLive.
   std::uint64_t mark_epoch_counter_ = 0;    ///< For batch_is_island.
   std::vector<std::uint64_t> mark_epoch_;

@@ -379,16 +379,16 @@ void ShardSolver::solve_shard(Shard& s, bool timed) {
     }
   }
 
-  // Publish into the simulator's global view. Shards own disjoint flows
-  // and links, so concurrent publishes never touch the same element.
+  // Publish into the simulator's global view: flow rates into its drain
+  // array, link state into the links' live rows. Shards own disjoint
+  // flows and links, and every shard link got its row at compile, so
+  // concurrent publishes never touch the same element.
   for (std::size_t i = 0; i < nf; ++i) {
-    sim_.flows_[s.flows[i]].rate = s.rate[i];
+    sim_.drain_[s.flows[i]].rate = s.rate[i];
   }
   for (std::size_t li = 0; li < nl; ++li) {
     const topo::LinkId g = s.links[li];
-    sim_.link_demand_[g] = s.demand[li];
-    sim_.link_overload_[g] = s.overload[li];
-    sim_.link_rate_[g] = s.link_rate[li];
+    sim_.publish_link(g, s.link_rate[li], s.overload[li], s.demand[li]);
     double& peak = sim_.stats_[g].peak_overload;
     if (s.overload[li] > peak) peak = s.overload[li];
   }

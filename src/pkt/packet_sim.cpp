@@ -141,7 +141,7 @@ void PacketSim::finish_transmit(std::size_t port_idx) {
   update_pfc(port_idx);
 
   const Flow& f = flows_[pkt.flow];
-  bool last_hop = pkt.hop + 1 >= f.st.path.size();
+  bool last_hop = static_cast<std::size_t>(pkt.hop) + 1 >= f.st.path.size();
   if (last_hop) {
     queue_.schedule_in(cfg_.hop_latency, [this, pkt] { deliver(pkt); });
   } else {

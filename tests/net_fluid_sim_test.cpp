@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <set>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -245,7 +247,7 @@ TEST(FluidSim, RunUntilPausesAndResumes) {
   Seconds full = core::transfer_time(25_MiB, gbps(200));
   sim.run(full / 2);
   EXPECT_LT(sim.flow(id).finish, 0.0);
-  EXPECT_GT(sim.flow(id).remaining, 0.0);
+  EXPECT_GT(sim.remaining(id), 0.0);
   sim.run();
   EXPECT_NEAR(sim.flow(id).finish, full, full * 0.01);
 }
@@ -475,6 +477,91 @@ TEST(FluidSim, RecycleFinishedReleasesOnlyRetiredPaths) {
   for (FlowId id : {running, waiting}) EXPECT_TRUE(sim.flow(id).path.empty());
 }
 
+// The zoo fabrics the churn script runs on: every style, dual-ToR on and
+// off.
+std::vector<topo::FabricParams> churn_zoo() {
+  std::vector<topo::FabricParams> zoo;
+  for (topo::FabricStyle style : topo::kAllFabricStyles) {
+    for (bool dual : {true, false}) {
+      topo::FabricParams p;
+      p.style = style;
+      p.rails = 4;
+      p.hosts_per_block = 4;
+      p.blocks_per_pod = 2;
+      p.pods = 2;
+      p.dual_tor = dual;
+      zoo.push_back(p);
+    }
+  }
+  return zoo;
+}
+
+std::string zoo_name(const topo::FabricParams& p) {
+  return std::string(topo::to_string(p.style)) + (p.dual_tor ? "/dual" : "/single");
+}
+
+// A seeded churn script: 80 steps, each injecting a few arrivals spread
+// over the next 50 us, taking one random action (reset_stats, a degrade
+// to 0.4 or to 0, an abort, a link-down on a live path plus reroute,
+// bringing the downed links back up, or nothing) and running up to 100 us
+// further. `on_reset(n)` runs right after the n-th reset, `on_step(step)`
+// after each step's run. Returns the number of resets.
+template <typename OnReset, typename OnStep>
+int run_zoo_churn(topo::Fabric& f, FluidSim& sim, std::uint64_t seed, OnReset on_reset,
+                  OnStep on_step) {
+  core::Rng rng(seed);
+  const std::size_t nlinks = f.topo().link_count();
+  const int gpus = f.params().gpu_count();
+  std::vector<topo::LinkId> downed;
+  int resets = 0;
+  for (int step = 0; step < 80; ++step) {
+    for (int k = static_cast<int>(rng.uniform_int(4)); k > 0; --k) {
+      const int a = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(gpus)));
+      const int b = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(gpus)));
+      FlowSpec s = make_spec(f, a, b, (1 + rng.uniform_int(64)) * 16_KiB,
+                             static_cast<std::uint64_t>(step));
+      s.start = sim.now() + rng.uniform(0.0, 50e-6);
+      sim.inject(s);
+    }
+    switch (rng.uniform_int(6)) {
+      case 0:
+        sim.reset_stats();
+        on_reset(++resets);
+        break;
+      case 1:
+        sim.degrade_link(static_cast<topo::LinkId>(rng.uniform_int(nlinks)),
+                         rng.uniform_int(3) == 0 ? 0.0 : 0.4);
+        break;
+      case 2:
+        if (!sim.active_flows().empty()) {
+          sim.abort_flow(sim.active_flows()[rng.uniform_int(sim.active_flows().size())]);
+        }
+        break;
+      case 3:
+        if (!sim.active_flows().empty()) {
+          const auto& path =
+              sim.flow(sim.active_flows()[rng.uniform_int(sim.active_flows().size())]).path;
+          if (!path.empty()) {
+            const topo::LinkId l = path[rng.uniform_int(path.size())];
+            sim.set_link_up(l, false);
+            downed.push_back(l);
+            sim.reroute_flows();
+          }
+        }
+        break;
+      case 4:
+        for (topo::LinkId l : downed) sim.set_link_up(l, true);
+        downed.clear();
+        break;
+      default:
+        break;
+    }
+    sim.run(sim.now() + rng.uniform(0.0, 100e-6));
+    on_step(step);
+  }
+  return resets;
+}
+
 // reset_stats() and counter collectors visit only touched links, which
 // is exact only if every link outside the touched list reads LinkStats{}
 // bit for bit. Churn with resets at random points, degrades (including
@@ -485,86 +572,81 @@ TEST(FluidSim, UntouchedLinksReadZeroStats) {
     return std::memcmp(&ls, &z, sizeof z) == 0;
   };
   std::uint64_t seed = 1;
-  for (topo::FabricStyle style : topo::kAllFabricStyles) {
-    for (bool dual : {true, false}) {
-      SCOPED_TRACE(std::string(topo::to_string(style)) + (dual ? "/dual" : "/single"));
-      topo::FabricParams p;
-      p.style = style;
-      p.rails = 4;
-      p.hosts_per_block = 4;
-      p.blocks_per_pod = 2;
-      p.pods = 2;
-      p.dual_tor = dual;
+  for (const topo::FabricParams& p : churn_zoo()) {
+    SCOPED_TRACE(zoo_name(p));
+    topo::Fabric f(p);
+    FluidSim sim(f);
+    const std::size_t nlinks = f.topo().link_count();
+    const int resets = run_zoo_churn(
+        f, sim, seed++,
+        [&](int n) {
+          for (std::size_t l = 0; l < nlinks; ++l) {
+            ASSERT_TRUE(zero(sim.link_stats(static_cast<topo::LinkId>(l))))
+                << "link " << l << " after reset " << n;
+          }
+        },
+        [&](int step) {
+          const auto touched = sim.touched_links();
+          const std::set<topo::LinkId> listed(touched.begin(), touched.end());
+          ASSERT_EQ(listed.size(), touched.size()) << "duplicate in the touched list";
+          for (std::size_t l = 0; l < nlinks; ++l) {
+            if (listed.count(static_cast<topo::LinkId>(l)) == 0) {
+              ASSERT_TRUE(zero(sim.link_stats(static_cast<topo::LinkId>(l))))
+                  << "untouched link " << l << " at step " << step;
+            }
+          }
+        });
+    EXPECT_GT(resets, 0);
+    EXPECT_LT(sim.touched_links().size(), nlinks);
+  }
+}
+
+// Stats integration, util tracing and PFC charging share one pass over
+// the live links: attaching a tracer may only add trace events. Over the
+// zoo churn script, every flow's finish, remaining bytes and rate and
+// every link's LinkStats are bit-identical with and without a tracer,
+// after every step.
+TEST(FluidSim, TracerLeavesStatsAndRatesUnchanged) {
+  std::uint64_t seed = 1;
+  for (const topo::FabricParams& p : churn_zoo()) {
+    SCOPED_TRACE(zoo_name(p));
+    auto run = [&](obs::Tracer* tracer) {
       topo::Fabric f(p);
       FluidSim sim(f);
-      core::Rng rng(seed++);
-      const std::size_t nlinks = f.topo().link_count();
-      const int gpus = p.gpu_count();
-      std::vector<topo::LinkId> downed;
-      int resets = 0;
-      for (int step = 0; step < 80; ++step) {
-        // A few arrivals spread over the next 50 us.
-        for (int k = static_cast<int>(rng.uniform_int(4)); k > 0; --k) {
-          const int a = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(gpus)));
-          const int b = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(gpus)));
-          FlowSpec s = make_spec(f, a, b, (1 + rng.uniform_int(64)) * 16_KiB,
-                                 static_cast<std::uint64_t>(step));
-          s.start = sim.now() + rng.uniform(0.0, 50e-6);
-          sim.inject(s);
+      sim.set_tracer(tracer);
+      std::vector<std::uint64_t> bits;
+      auto put = [&bits](double v) { bits.push_back(std::bit_cast<std::uint64_t>(v)); };
+      run_zoo_churn(f, sim, seed, [](int) {}, [&](int) {
+        for (FlowId id = 0; id < sim.flow_count(); ++id) {
+          put(sim.flow(id).finish);
+          put(sim.remaining(id));
+          put(sim.current_rate(id));
         }
-        switch (rng.uniform_int(6)) {
-          case 0: {
-            sim.reset_stats();
-            ++resets;
-            for (std::size_t l = 0; l < nlinks; ++l) {
-              ASSERT_TRUE(zero(sim.link_stats(static_cast<topo::LinkId>(l))))
-                  << "link " << l << " after reset " << resets;
-            }
-            break;
-          }
-          case 1:
-            sim.degrade_link(static_cast<topo::LinkId>(rng.uniform_int(nlinks)),
-                             rng.uniform_int(3) == 0 ? 0.0 : 0.4);
-            break;
-          case 2:
-            if (!sim.active_flows().empty()) {
-              sim.abort_flow(sim.active_flows()[rng.uniform_int(sim.active_flows().size())]);
-            }
-            break;
-          case 3:
-            if (!sim.active_flows().empty()) {
-              const auto& path =
-                  sim.flow(sim.active_flows()[rng.uniform_int(sim.active_flows().size())]).path;
-              if (!path.empty()) {
-                const topo::LinkId l = path[rng.uniform_int(path.size())];
-                sim.set_link_up(l, false);
-                downed.push_back(l);
-                sim.reroute_flows();
-              }
-            }
-            break;
-          case 4:
-            for (topo::LinkId l : downed) sim.set_link_up(l, true);
-            downed.clear();
-            break;
-          default:
-            break;
+        for (std::size_t l = 0; l < f.topo().link_count(); ++l) {
+          const LinkStats& ls = sim.link_stats(static_cast<topo::LinkId>(l));
+          put(ls.bytes_forwarded);
+          put(ls.busy_time);
+          put(ls.util_time);
+          bits.push_back(ls.ecn_marks);
+          bits.push_back(ls.pfc_pauses);
+          put(ls.peak_overload);
         }
-        sim.run(sim.now() + rng.uniform(0.0, 100e-6));
-
-        const auto touched = sim.touched_links();
-        const std::set<topo::LinkId> listed(touched.begin(), touched.end());
-        ASSERT_EQ(listed.size(), touched.size()) << "duplicate in the touched list";
-        for (std::size_t l = 0; l < nlinks; ++l) {
-          if (listed.count(static_cast<topo::LinkId>(l)) == 0) {
-            ASSERT_TRUE(zero(sim.link_stats(static_cast<topo::LinkId>(l))))
-                << "untouched link " << l << " at step " << step;
-          }
-        }
+      });
+      return bits;
+    };
+    obs::Tracer tracer;
+    const std::vector<std::uint64_t> plain = run(nullptr);
+    const std::vector<std::uint64_t> traced = run(&tracer);
+    ASSERT_EQ(plain.size(), traced.size());
+    EXPECT_TRUE(plain == traced);
+    std::size_t util_samples = 0;
+    for (const auto& ev : tracer.events(obs::Track::Link)) {
+      if (ev.phase == obs::TraceEvent::Phase::Counter && std::string_view(ev.name) == "util") {
+        ++util_samples;
       }
-      EXPECT_GT(resets, 0);
-      EXPECT_LT(sim.touched_links().size(), nlinks);
     }
+    EXPECT_GT(util_samples, 0u);
+    ++seed;
   }
 }
 

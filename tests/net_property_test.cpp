@@ -65,7 +65,7 @@ TEST_P(FluidProperty, AllAdmittedFlowsComplete) {
     const auto& st = sim.flow(id);
     ASSERT_TRUE(st.admitted);
     EXPECT_GE(st.finish, 0.0);
-    EXPECT_NEAR(st.remaining, 0.0, 1.0);
+    EXPECT_NEAR(sim.remaining(id), 0.0, 1.0);
   }
   EXPECT_TRUE(sim.idle());
 }
@@ -90,7 +90,7 @@ TEST_P(FluidProperty, DrainedSimHasNoBacklog) {
     ASSERT_TRUE(st.admitted);
     EXPECT_TRUE(st.finish >= 0.0 || st.aborted) << id;
     if (st.finish >= 0.0) {
-      EXPECT_EQ(st.remaining, 0.0) << id;
+      EXPECT_EQ(sim.remaining(id), 0.0) << id;
     }
   }
 }
@@ -124,9 +124,9 @@ TEST_P(FluidProperty, RatesNeverExceedCapacity) {
     sim.run(sim.now() + core::usec(150));
     std::map<topo::LinkId, double> load;
     for (FlowId id : ids) {
-      const auto& st = sim.flow(id);
-      if (st.rate <= 0) continue;
-      for (topo::LinkId l : st.path) load[l] += st.rate;
+      const double rate = sim.current_rate(id);
+      if (rate <= 0) continue;
+      for (topo::LinkId l : sim.flow(id).path) load[l] += rate;
     }
     for (const auto& [l, rate] : load) {
       EXPECT_LE(rate, f.topo().link(l).capacity * (1.0 + 1e-9));
@@ -146,18 +146,19 @@ TEST_P(FluidProperty, EveryActiveFlowHasASaturatedBottleneck) {
   sim.run(core::usec(100));  // mid-transfer snapshot
   std::map<topo::LinkId, double> load;
   for (FlowId id : ids) {
-    const auto& st = sim.flow(id);
-    if (st.rate <= 0) continue;
-    for (topo::LinkId l : st.path) load[l] += st.rate;
+    const double rate = sim.current_rate(id);
+    if (rate <= 0) continue;
+    for (topo::LinkId l : sim.flow(id).path) load[l] += rate;
   }
   for (FlowId id : ids) {
     const auto& st = sim.flow(id);
-    if (st.rate <= 0 || st.finish >= 0) continue;
+    const double rate = sim.current_rate(id);
+    if (rate <= 0 || st.finish >= 0) continue;
     bool has_bottleneck = false;
     for (topo::LinkId l : st.path) {
       if (load[l] >= f.topo().link(l).capacity * (1.0 - 1e-6)) has_bottleneck = true;
     }
-    EXPECT_TRUE(has_bottleneck) << "flow " << id << " rate " << st.rate;
+    EXPECT_TRUE(has_bottleneck) << "flow " << id << " rate " << rate;
   }
   sim.run();
 }

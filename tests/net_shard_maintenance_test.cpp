@@ -114,10 +114,9 @@ std::uint64_t digest(const FluidSim& sim) {
     h = fnv1a(h, buf, static_cast<std::size_t>(n));
   };
   for (FlowId id = 0; id < sim.flow_count(); ++id) {
-    const FlowState& f = sim.flow(id);
-    put(f.rate);
-    put(f.finish);
-    put(f.remaining);
+    put(sim.current_rate(id));
+    put(sim.flow(id).finish);
+    put(sim.remaining(id));
   }
   const std::size_t nlinks = sim.fabric().topo().link_count();
   for (std::size_t l = 0; l < nlinks; ++l) {

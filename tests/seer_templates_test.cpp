@@ -136,7 +136,9 @@ TEST(Templates, CrossDcFlagsOnlyTheChosenDimension) {
   pp_dc.cross_dc = CrossDcDim::PP;
   auto g = build_graph(ModelSpec::tiny(), cfg(2, 2, 2), pp_dc);
   for (const auto& op : g.ops) {
-    if (op.cross_dc) EXPECT_EQ(op.name.substr(0, 2), "PP") << op.name;
+    if (op.cross_dc) {
+      EXPECT_EQ(op.name.substr(0, 2), "PP") << op.name;
+    }
   }
   WorkloadShape dp_dc;
   dp_dc.cross_dc = CrossDcDim::DP;

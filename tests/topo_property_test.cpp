@@ -95,7 +95,9 @@ TEST_P(FabricProperty, SameRailPairsReachableEverywhere) {
                  ? p.blocks_per_pod * p.hosts_per_block * p.rails - p.rails
                  : f.gpu_count() - p.rails;
   NodeId b = f.gpu(last).host;
-  if (a != b) EXPECT_GT(f.topo().distance(a, b), 0);
+  if (a != b) {
+    EXPECT_GT(f.topo().distance(a, b), 0);
+  }
   if (p.style == FabricStyle::RailOnly && p.pods > 1) {
     EXPECT_EQ(f.topo().distance(a, f.gpu(f.gpu_count() - p.rails).host), -1);
   }

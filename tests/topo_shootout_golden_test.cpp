@@ -67,7 +67,9 @@ TEST(ShootoutGolden, ReportIsInternallyConsistent) {
   for (std::size_t i = 0; i < report.rows.size(); ++i) {
     const auto& r = report.rows[i];
     EXPECT_EQ(r.rank, static_cast<int>(i) + 1);
-    if (i > 0) EXPECT_LE(r.score, report.rows[i - 1].score);
+    if (i > 0) {
+      EXPECT_LE(r.score, report.rows[i - 1].score);
+    }
     EXPECT_LE(r.storm_load_after, r.storm_bound) << topo::to_string(r.style);
     EXPECT_GT(r.fabric_cost, 0.0);
   }
