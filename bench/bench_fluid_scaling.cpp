@@ -15,9 +15,12 @@
 // the minutes the bench runs moves both sides of a ratio instead of
 // deciding the gate; the per-round ratios are recorded. The thread pool
 // must pay for itself: 4 lanes re-solve 64K flows at least 1.5x faster
-// than 1 lane, a gate enforced only when a raw std::thread calibration
-// (perfbench's integer kernel) shows this host running 4 threads at least
-// 2.5x faster than 1.
+// than 1 lane. The thread sweep runs in three rounds too; each round
+// times a raw std::thread calibration (perfbench's integer kernel) at 1
+// and 4 threads and then the 64K re-solve at every lane count, a sweep
+// point reads the median of its rounds, and the gate reads the median
+// 4-lane/1-lane speedup over the rounds whose calibration shows this host
+// running 4 threads at least 2.5x faster than 1 (skipped when none does).
 // Writes BENCH_fluid.json (path = argv[1], default ./BENCH_fluid.json)
 // so the repo keeps a perf trajectory; bench/run_bench.sh drives it from
 // a Release build. --baseline=FILE copies each point's end-to-end time
@@ -133,7 +136,8 @@ double drain_ms(topo::Fabric& fabric, const std::vector<net::FlowSpec>& specs) {
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
 }
 
 Point measure(topo::Fabric& fabric, int flows) {
@@ -175,43 +179,6 @@ Point measure(topo::Fabric& fabric, int flows) {
   return pt;
 }
 
-struct SweepPoint {
-  int threads = 0;
-  double solve_us = 0.0;
-  std::uint64_t steady_state_allocs = 0;
-};
-
-// Steady-state re-solve latency at `flows` for each thread count: same
-// workload, solver configured with N lanes. Thread count must not change
-// the rates (asserted bitwise elsewhere), only the wall clock.
-std::vector<SweepPoint> thread_sweep(topo::Fabric& fabric, int flows,
-                                     const std::vector<int>& thread_counts) {
-  auto specs = permutation_specs(fabric, flows);
-  std::vector<SweepPoint> sweep;
-  for (int threads : thread_counts) {
-    net::FluidSimConfig cfg;
-    cfg.solver_threads = threads;
-    net::FluidSim sim(fabric, cfg);
-    sim.inject_batch(specs);
-    sim.run(0.0);
-    sim.resolve_rates();  // warm caches; creates the pool on first use
-    const int iters = iters_for(flows);
-    SweepPoint sp;
-    sp.threads = threads;
-    std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
-    auto t0 = Clock::now();
-    for (int k = 0; k < iters; ++k) sim.resolve_rates();
-    sp.solve_us = ms_since(t0) * 1000.0 / iters;
-    sp.steady_state_allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - allocs0;
-    sweep.push_back(sp);
-    std::printf("threads=%2d  flows=%6d  solve=%8.1fus  steady_allocs=%llu\n",
-                sp.threads, flows, sp.solve_us,
-                static_cast<unsigned long long>(sp.steady_state_allocs));
-  }
-  return sweep;
-}
-
 volatile std::uint64_t g_spin_sink = 0;
 
 /// A fixed integer kernel split into `threads` equal parts on raw
@@ -243,19 +210,66 @@ struct Calibration {
   double speedup() const { return four_lanes_ms > 0 ? one_lane_ms / four_lanes_ms : 0.0; }
 };
 
-/// What this host gives four raw threads of pure compute, median of three
-/// trials at 1 and at 4 lanes, so a flat thread sweep can be blamed on the
-/// host or on the code.
-Calibration calibrate() {
-  constexpr std::uint64_t kIters = 40'000'000;
-  std::vector<double> one, four;
-  for (int k = 0; k < 3; ++k) {
-    one.push_back(spin_ms(1, kIters));
-    four.push_back(spin_ms(4, kIters));
+struct SweepPoint {
+  int threads = 0;
+  std::vector<double> solve_us_rounds;  ///< One re-solve timing per round.
+  double solve_us = 0.0;                ///< Median of the rounds.
+  std::uint64_t steady_state_allocs = 0;  ///< Summed over the rounds.
+};
+
+struct ThreadSweep {
+  std::vector<SweepPoint> points;
+  std::vector<Calibration> calibration;  ///< One per round.
+  /// Per round: the 1-lane over the 4-lane re-solve time; 0 when the
+  /// sweep lacks 1 or 4 threads.
+  std::vector<double> pool_speedup_4;
+};
+
+// Steady-state re-solve latency at `flows` for each thread count (same
+// workload, solver configured with N lanes), in kSweepRounds rounds. Each
+// round first times the raw-thread calibration once at 1 and at 4
+// threads, so a round's pool speedup and the host's raw-thread speedup
+// are measured seconds apart. Thread count must not change the rates
+// (asserted bitwise elsewhere), only the wall clock.
+ThreadSweep thread_sweep(topo::Fabric& fabric, int flows, const std::vector<int>& thread_counts) {
+  constexpr int kSweepRounds = 3;
+  constexpr std::uint64_t kSpinIters = 40'000'000;
+  auto specs = permutation_specs(fabric, flows);
+  ThreadSweep sweep;
+  for (int threads : thread_counts) {
+    sweep.points.emplace_back();
+    sweep.points.back().threads = threads;
   }
-  std::sort(one.begin(), one.end());
-  std::sort(four.begin(), four.end());
-  return {one[1], four[1]};
+  for (int round = 1; round <= kSweepRounds; ++round) {
+    const Calibration calib{spin_ms(1, kSpinIters), spin_ms(4, kSpinIters)};
+    sweep.calibration.push_back(calib);
+    double us_1 = 0.0;
+    double us_4 = 0.0;
+    for (SweepPoint& sp : sweep.points) {
+      net::FluidSimConfig cfg;
+      cfg.solver_threads = sp.threads;
+      net::FluidSim sim(fabric, cfg);
+      sim.inject_batch(specs);
+      sim.run(0.0);
+      sim.resolve_rates();  // warm caches; creates the pool on first use
+      const int iters = iters_for(flows);
+      std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+      auto t0 = Clock::now();
+      for (int k = 0; k < iters; ++k) sim.resolve_rates();
+      const double us = ms_since(t0) * 1000.0 / iters;
+      sp.steady_state_allocs += g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+      sp.solve_us_rounds.push_back(us);
+      if (sp.threads == 1) us_1 = us;
+      if (sp.threads == 4) us_4 = us;
+      std::printf("sweep round %d: threads=%2d  flows=%6d  solve=%8.1fus\n", round, sp.threads,
+                  flows, us);
+    }
+    sweep.pool_speedup_4.push_back(us_1 > 0 && us_4 > 0 ? us_1 / us_4 : 0.0);
+    std::printf("sweep round %d: raw-thread calibration %.2fx, 4-lane pool speedup %.2fx\n",
+                round, calib.speedup(), sweep.pool_speedup_4.back());
+  }
+  for (SweepPoint& sp : sweep.points) sp.solve_us = median(sp.solve_us_rounds);
+  return sweep;
 }
 
 // End-to-end milliseconds per flow count from an earlier BENCH_fluid.json;
@@ -349,9 +363,15 @@ int main(int argc, char** argv) {
   const obs::Histogram* solve_hist = metrics.find_histogram("fluidsim.solve_us");
 
   // Thread-count sweep at 64K flows (the acceptance point).
-  const std::vector<SweepPoint> sweep = thread_sweep(fabric, 65536, thread_counts);
-  const Calibration calib = calibrate();
-  std::printf("raw-thread calibration: 1 lane %.1fms, 4 lanes %.1fms (%.2fx)\n",
+  const ThreadSweep thread_rounds = thread_sweep(fabric, 65536, thread_counts);
+  const std::vector<SweepPoint>& sweep = thread_rounds.points;
+  std::vector<double> one_lane_ms, four_lanes_ms;
+  for (const Calibration& c : thread_rounds.calibration) {
+    one_lane_ms.push_back(c.one_lane_ms);
+    four_lanes_ms.push_back(c.four_lanes_ms);
+  }
+  const Calibration calib{median(one_lane_ms), median(four_lanes_ms)};
+  std::printf("raw-thread calibration (median of rounds): 1 lane %.1fms, 4 lanes %.1fms (%.2fx)\n",
               calib.one_lane_ms, calib.four_lanes_ms, calib.speedup());
 
   double speedup_4k = 0.0;
@@ -385,25 +405,29 @@ int main(int argc, char** argv) {
     }
     total_steady_allocs += sp.steady_state_allocs;
   }
-  // 1-lane / 4-lane 64K re-solve; enforced only where raw threads scale.
+  // 1-lane / 4-lane 64K re-solve: the median over the rounds whose own
+  // raw-thread calibration reached kPoolGateCalibration.
   constexpr double kPoolSpeedupRequired = 1.5;
   constexpr double kPoolGateCalibration = 2.5;
-  double solve_us_1 = 0.0;
-  double solve_us_4 = 0.0;
-  for (const SweepPoint& sp : sweep) {
-    if (sp.threads == 1) solve_us_1 = sp.solve_us;
-    if (sp.threads == 4) solve_us_4 = sp.solve_us;
+  std::vector<double> gated;
+  double best_calibration = 0.0;
+  for (std::size_t r = 0; r < thread_rounds.calibration.size(); ++r) {
+    const double raw = thread_rounds.calibration[r].speedup();
+    best_calibration = std::max(best_calibration, raw);
+    if (raw >= kPoolGateCalibration) gated.push_back(thread_rounds.pool_speedup_4[r]);
   }
+  const bool has_1_and_4 = thread_rounds.pool_speedup_4.front() > 0;
   const double pool_speedup_4 =
-      solve_us_1 > 0 && solve_us_4 > 0 ? solve_us_1 / solve_us_4 : 0.0;
+      !has_1_and_4 ? 0.0 : median(gated.empty() ? thread_rounds.pool_speedup_4 : gated);
   std::string pool_status;
   bool pool_ok = true;
-  if (pool_speedup_4 == 0.0) {
+  if (!has_1_and_4) {
     pool_status = "skipped: the thread sweep lacks 1 or 4 threads";
-  } else if (calib.speedup() < kPoolGateCalibration) {
-    char why[96];
-    std::snprintf(why, sizeof why, "skipped: raw 4-lane calibration %.2fx < %.1fx",
-                  calib.speedup(), kPoolGateCalibration);
+  } else if (gated.empty()) {
+    char why[112];
+    std::snprintf(why, sizeof why,
+                  "skipped: no round's raw 4-lane calibration reached %.1fx (best %.2fx)",
+                  kPoolGateCalibration, best_calibration);
     pool_status = why;
   } else {
     pool_ok = pool_speedup_4 >= kPoolSpeedupRequired;
@@ -457,21 +481,31 @@ int main(int argc, char** argv) {
                  solve_hist->percentile(50), solve_hist->percentile(90),
                  solve_hist->percentile(99), solve_hist->max());
   }
-  std::fprintf(f, "  \"thread_sweep\": {\"flows\": 65536, \"points\": [\n");
+  auto print_list = [f](const std::vector<double>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) std::fprintf(f, "%s%.2f", i > 0 ? ", " : "", v[i]);
+  };
+  std::fprintf(f,
+               "  \"thread_sweep\": {\"flows\": 65536, \"solve_us\": \"median of %zu rounds\", "
+               "\"points\": [\n",
+               thread_rounds.calibration.size());
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"threads\": %d, \"solve_us\": %.2f, "
-                 "\"steady_state_allocs\": %llu}%s\n",
-                 sweep[i].threads, sweep[i].solve_us,
+    std::fprintf(f, "    {\"threads\": %d, \"solve_us\": %.2f, \"solve_us_rounds\": [",
+                 sweep[i].threads, sweep[i].solve_us);
+    print_list(sweep[i].solve_us_rounds);
+    std::fprintf(f, "], \"steady_state_allocs\": %llu}%s\n",
                  static_cast<unsigned long long>(sweep[i].steady_state_allocs),
                  i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
   std::fprintf(f,
                "  \"calibration\": {\"kernel\": \"xorshift integer spin on raw "
-               "std::threads, as perfbench\", \"one_lane_ms\": %.2f, "
-               "\"four_lanes_ms\": %.2f, \"lane_speedup\": %.2f},\n",
+               "std::threads, as perfbench; one trial per sweep round\", \"one_lane_ms\": %.2f, "
+               "\"four_lanes_ms\": %.2f, \"lane_speedup\": %.2f, \"lane_speedup_rounds\": [",
                calib.one_lane_ms, calib.four_lanes_ms, calib.speedup());
+  std::vector<double> raw_rounds;
+  for (const Calibration& c : thread_rounds.calibration) raw_rounds.push_back(c.speedup());
+  print_list(raw_rounds);
+  std::fprintf(f, "]},\n");
   std::fprintf(f, "  \"criteria\": {\n");
   std::fprintf(f, "    \"solve_speedup_4k\": %.2f,\n", speedup_4k);
   std::fprintf(f, "    \"solve_speedup_4k_required\": 3.0,\n");
@@ -481,12 +515,14 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"point_1m_completed\": %s,\n", point_1m ? "true" : "false");
   std::fprintf(f, "    \"end_to_end_ratio_1m_64k\": %.2f,\n", e2e_ratio);
   std::fprintf(f, "    \"end_to_end_ratio_1m_64k_rounds\": [");
-  for (std::size_t i = 0; i < ratios.size(); ++i) {
-    std::fprintf(f, "%s%.2f", i > 0 ? ", " : "", ratios[i]);
-  }
+  print_list(ratios);
   std::fprintf(f, "],\n");
   std::fprintf(f, "    \"end_to_end_ratio_1m_64k_max\": %.1f,\n", kMaxEndToEndRatio1m64k);
   std::fprintf(f, "    \"pool_speedup_4\": %.2f,\n", pool_speedup_4);
+  std::fprintf(f, "    \"pool_speedup_4_rounds\": [");
+  print_list(thread_rounds.pool_speedup_4);
+  std::fprintf(f, "],\n");
+  std::fprintf(f, "    \"pool_speedup_4_gated_rounds\": %zu,\n", gated.size());
   std::fprintf(f, "    \"pool_speedup_4_required\": %.1f,\n", kPoolSpeedupRequired);
   std::fprintf(f, "    \"pool_speedup_4_enforced_from_calibration\": %.1f,\n",
                kPoolGateCalibration);

@@ -1,6 +1,7 @@
 #include "net/fluid_sim.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -56,6 +57,7 @@ FluidSim::FluidSim(topo::Fabric& fabric, Config cfg)
   }
   members_.resize(nlinks);
   live_pos_.assign(nlinks, kNotLive);
+  pfc_rows_.assign(fabric_.topo().node_count(), 0);
   mark_epoch_.assign(nlinks, 0);
   mark_count_.assign(nlinks, 0);
   shard_ = std::make_unique<ShardSolver>(*this);
@@ -138,6 +140,9 @@ void FluidSim::remove_member(FlowId id) {
 }
 
 bool FluidSim::batch_is_island(std::span<const FlowId> batch) {
+  // Member lists hold active flows only, so a batch that is the whole
+  // active set is all its links carry.
+  if (batch.size() == active_.size()) return true;
   if (++mark_epoch_counter_ == 0) {
     // Counter wrapped: ancient stamps could alias it. Reset and restart
     // above the cleared value.
@@ -161,10 +166,38 @@ bool FluidSim::batch_is_island(std::span<const FlowId> batch) {
   return true;
 }
 
+std::uint8_t FluidSim::MarkKeys::key_of(double x) {
+  if (!(x > 0)) return kNone;
+  if (!(x >= 0x1p-900 && x <= 0x1p900)) return 0;
+  // x < 2^(ilogb(x) + 1), so 2x * 2^(-ilogb(x) - 2) < 1.
+  return static_cast<std::uint8_t>(std::clamp(-std::ilogb(x) - 2 + kBias, 0, kCount - 1));
+}
+
+void FluidSim::MarkKeys::move(std::uint8_t& key, std::uint8_t to) {
+  if (key == to) return;
+  const int was = min_;
+  if (key != kNone) {
+    --total_;
+    if (--rows_[key] == 0 && key == min_) {
+      while (min_ < kCount && rows_[min_] == 0) ++min_;
+    }
+  }
+  if (to != kNone) {
+    ++total_;
+    ++rows_[to];
+    min_ = std::min<int>(min_, to);
+  }
+  if (min_ != was) limit_ = min_ == 0 || min_ == kCount ? 0.0 : std::ldexp(1.0, min_ - kBias);
+  key = to;
+}
+
 void FluidSim::add_live(topo::LinkId l) {
   if (live_pos_[l] != kNotLive) return;
   live_pos_[l] = static_cast<std::uint32_t>(live_links_.size());
-  live_links_.push_back({.link = l});
+  live_links_.push_back({.since = accumulated_until_,
+                         .since_interval = intervals_,
+                         .link = l,
+                         .dst = fabric_.topo().link(l).dst});
   touch(l);
 }
 
@@ -174,23 +207,71 @@ void FluidSim::touch(topo::LinkId l) {
   touched_.push_back(l);
 }
 
+void FluidSim::add_pending(const LiveLink& r, LinkStats& st) const {
+  const double dt = accumulated_until_ - r.since;
+  // Sum over member flows of rate*dt equals the link's allocated rate.
+  st.bytes_forwarded += r.rate * dt / 8.0;
+  st.busy_time += r.rate > 0 ? dt : 0.0;
+  st.util_time += dt * r.util;
+  const std::uint64_t intervals = intervals_ - r.since_interval;
+  if (r.ecn_excess > 0) st.ecn_marks += intervals;
+  if (r.rate > 0) st.pfc_pauses += pfc_rows_[r.dst] * intervals;
+}
+
+void FluidSim::fold(LiveLink& r) {
+  // The clock moves only by counted intervals while any row is live, so
+  // a row folded in the current interval has nothing pending.
+  if (r.since_interval == intervals_) return;
+  add_pending(r, stats_[r.link]);
+  r.since = accumulated_until_;
+  r.since_interval = intervals_;
+}
+
+LinkStats FluidSim::link_stats(topo::LinkId id) const {
+  LinkStats st = stats_[id];
+  const std::uint32_t pos = live_pos_[id];
+  if (pos != kNotLive) add_pending(live_links_[pos], st);
+  return st;
+}
+
+void FluidSim::register_pfc(LiveLink& r, std::uint8_t key) {
+  const bool had = r.pfc_registered != MarkKeys::kNone;
+  if (had != (key != MarkKeys::kNone)) {
+    const topo::Topology& topo = fabric_.topo();
+    const topo::NodeId sw = topo.link(r.link).src;
+    for (topo::LinkId up : topo.in_links(sw)) {
+      if (live_pos_[up] != kNotLive) fold(live_links_[live_pos_[up]]);
+    }
+    if (had) {
+      --pfc_rows_[sw];
+    } else {
+      ++pfc_rows_[sw];
+    }
+  }
+  pfc_keys_.move(r.pfc_registered, key);
+}
+
 void FluidSim::retire_live(topo::LinkId l) {
   const std::uint32_t pos = live_pos_[l];
   if (pos == kNotLive) return;
-  live_links_[pos] = live_links_.back();
-  live_pos_[live_links_[pos].link] = pos;
+  LiveLink& r = live_links_[pos];
+  fold(r);
+  ecn_keys_.move(r.ecn_registered, MarkKeys::kNone);
+  register_pfc(r, MarkKeys::kNone);
+  r = live_links_.back();
+  live_pos_[r.link] = pos;
   live_links_.pop_back();
   live_pos_[l] = kNotLive;
 }
 
 void FluidSim::publish_link(topo::LinkId l, double rate, double overload, double demand) {
   LiveLink& r = live_links_[live_pos_[l]];
+  fold(r);
   r.rate = rate;
   r.overload = overload;
-  r.busy = rate > 0 ? 1.0 : 0.0;
   r.util = util_of(rate, effcap_[l]);
   // A row with neither rate nor demand marks nothing, whatever the
-  // thresholds, so integrating it changes no counter.
+  // thresholds.
   r.loaded = rate > 0 || demand > 0;
   r.ecn_excess = r.loaded && overload > cfg_.ecn_util_threshold
                      ? overload - cfg_.ecn_util_threshold
@@ -198,11 +279,24 @@ void FluidSim::publish_link(topo::LinkId l, double rate, double overload, double
   r.pfc_excess = r.loaded && overload > cfg_.pfc_overload
                      ? overload - cfg_.pfc_overload
                      : 0.0;
+  r.ecn_key = MarkKeys::key_of(r.ecn_excess);
+  r.pfc_key = MarkKeys::key_of(r.pfc_excess);
+}
+
+void FluidSim::rekey_links(std::span<const topo::LinkId> links) {
+  for (topo::LinkId l : links) {
+    LiveLink& r = live_links_[live_pos_[l]];
+    ecn_keys_.move(r.ecn_registered, r.ecn_key);
+    if (r.pfc_registered != r.pfc_key) register_pfc(r, r.pfc_key);
+  }
 }
 
 void FluidSim::refresh_util(topo::LinkId l) {
   const std::uint32_t pos = live_pos_[l];
-  if (pos != kNotLive) live_links_[pos].util = util_of(live_links_[pos].rate, effcap_[l]);
+  if (pos == kNotLive) return;
+  LiveLink& r = live_links_[pos];
+  fold(r);
+  r.util = util_of(r.rate, effcap_[l]);
 }
 
 void FluidSim::set_metrics(obs::Metrics* metrics) {
@@ -237,43 +331,46 @@ void FluidSim::accumulate_until(core::Seconds t) {
   if (dt <= 0) return;
   const core::Seconds interval_start = accumulated_until_;
   accumulated_until_ = t;
+  ++intervals_;
   // Marks are ceil(dt * k * excess), evaluated left to right: the
-  // products dt * k are per event, not per link.
+  // products dt * k are per interval, not per link.
   const double ecn_k = dt * cfg_.ecn_marks_per_flow_sec;
   const double pfc_k = dt * cfg_.pfc_pauses_per_sec;
-  // Locals, so the stores into stats_ do not force reloads of the
-  // vectors' bounds every row.
-  const LiveLink* const rows = live_links_.data();
-  const auto nrows = static_cast<std::uint32_t>(live_links_.size());
-  LinkStats* const stats = stats_.data();
-  obs::Tracer* const tracer = tracer_;
-  pfc_rows_.clear();
-  for (std::uint32_t i = 0; i < nrows; ++i) {
-    const LiveLink& r = rows[i];
-    LinkStats& st = stats[r.link];
-    // Sum over member flows of rate*dt equals the link's allocated rate.
-    st.bytes_forwarded += r.rate * dt / 8.0;
-    st.busy_time += dt * r.busy;
-    st.util_time += dt * r.util;
-    st.ecn_marks += static_cast<std::uint64_t>(std::ceil(ecn_k * r.ecn_excess));
-    if (r.pfc_excess > 0) pfc_rows_.push_back(i);
-    if (tracer != nullptr && r.loaded) {
+  const bool ecn_pass = ecn_keys_.needs_pass(ecn_k);
+  const bool pfc_pass = pfc_keys_.needs_pass(pfc_k);
+  if (ecn_pass || pfc_pass) {
+    // The exact pass. Every row with a positive excess accrues one mark
+    // for this interval lazily, so it adds ceil(k * excess) - 1 here,
+    // modulo 2^64: 0 for a row that gains exactly 1, -1 for a product that
+    // underflowed to 0. Locals, so the stores into stats_ do not force
+    // reloads of the vectors' bounds every row.
+    const LiveLink* const rows = live_links_.data();
+    const auto nrows = static_cast<std::uint32_t>(live_links_.size());
+    LinkStats* const stats = stats_.data();
+    const topo::Topology& topo = fabric_.topo();
+    for (std::uint32_t i = 0; i < nrows; ++i) {
+      const LiveLink& r = rows[i];
+      if (ecn_pass && r.ecn_excess > 0) {
+        stats[r.link].ecn_marks += static_cast<std::uint64_t>(std::ceil(ecn_k * r.ecn_excess)) - 1;
+      }
+      if (!pfc_pass || r.pfc_excess <= 0) continue;
+      const std::uint64_t extra = static_cast<std::uint64_t>(std::ceil(pfc_k * r.pfc_excess)) - 1;
+      if (extra == 0) continue;
+      // The congested switch pauses every active upstream link: this is
+      // how a single hotspot spreads (the paper's PFC-storm incident).
+      for (topo::LinkId up : topo.in_links(topo.link(r.link).src)) {
+        if (link_rate(up) > 0) stats[up].pfc_pauses += extra;
+      }
+    }
+  }
+  if (tracer_ != nullptr) {
+    for (const LiveLink& r : live_links_) {
+      if (!r.loaded) continue;
       // Rates are piecewise constant over [interval_start, t]; one sample
       // at the interval start reproduces the step function exactly.
       obs::TraceKeys k;
       k.link = static_cast<std::int64_t>(r.link);
-      tracer->counter(obs::Track::Link, "util", interval_start, r.util, k);
-    }
-  }
-  // The congested switch pauses every active upstream link: this is how a
-  // single hotspot spreads (the paper's PFC-storm incident). Integer adds,
-  // so charging them after the pass changes no count.
-  const topo::Topology& topo = fabric_.topo();
-  for (std::uint32_t i : pfc_rows_) {
-    const LiveLink& r = rows[i];
-    const auto pauses = static_cast<std::uint64_t>(std::ceil(pfc_k * r.pfc_excess));
-    for (topo::LinkId up : topo.in_links(topo.link(r.link).src)) {
-      if (link_rate(up) > 0) stats_[up].pfc_pauses += pauses;
+      tracer_->counter(obs::Track::Link, "util", interval_start, r.util, k);
     }
   }
 }
@@ -320,6 +417,9 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
       return;
     }
     if (active_.empty()) {
+      // The last completion or abort retired every row, so the clock
+      // jumps below integrate nothing.
+      assert(live_links_.empty());
       if (pending_.empty()) {
         if (is_bounded(until) && now_ < until) now_ = until;
         accumulated_until_ = std::max(accumulated_until_, now_);
@@ -600,6 +700,9 @@ void FluidSim::recycle_finished() {
 }
 
 void FluidSim::reset_stats() {
+  // Folding moves every row's fold point to now; zeroing the touched
+  // links (live ones included) then drops what the rows had accrued.
+  for (LiveLink& r : live_links_) fold(r);
   for (topo::LinkId l : touched_) {
     stats_[l] = LinkStats{};
     touched_flag_[l] = 0;

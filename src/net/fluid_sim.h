@@ -25,13 +25,20 @@
 // at all. See DESIGN.md §6 and §11; src/net/maxmin_ref.{h,cpp} retains the
 // naive solver as the equivalence oracle.
 //
-// Each event makes three passes, and each reads dense, contiguous state:
-// the next-completion scan and the drain sweep read a 16-byte per-flow
-// {remaining, rate} array, stats integration walks one row per live link
-// (rate, overload and the per-interval factors the solve published), and
-// admission pops a heap whose entries carry their start time.
+// Each event makes two passes over the active flows, the next-completion
+// scan and the drain sweep, both over a 16-byte per-flow {remaining, rate}
+// array, and admission pops a heap whose entries carry their start time.
+// Link statistics are lazy and exact: each link that carries flows has a
+// row holding what its shard's solve published, and the row folds its
+// counters into LinkStats only when its own state changes (its shard
+// republishes it, it retires, its capacity changes, reset_stats). An
+// event only counts its interval; the rows are walked only in the rare
+// interval where some row's ECN or PFC increment is not exactly 1, and to
+// sample utilization when a tracer is attached. link_stats() adds what a
+// row has pending without folding it, so reading never moves a later bit.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -129,7 +136,13 @@ class FluidSim {
   /// finished; an aborted flow keeps what it had left.
   double remaining(FlowId id) const { return drain_[id].remaining; }
 
-  const LinkStats& link_stats(topo::LinkId id) const { return stats_[id]; }
+  /// A link's counters as of now(): what its row has folded plus what it
+  /// has pending. Reading folds nothing, so it changes no later value.
+  /// ECN marks and PFC pauses are exact sums of the per-interval counts
+  /// ceil(dt * rate * excess); bytes, busy and util time are integrated
+  /// over the spans between the row's folds, so their last bits depend on
+  /// where those fall.
+  LinkStats link_stats(topo::LinkId id) const;
 
   /// Every link whose counters may be nonzero: the links that carried
   /// flows at some point since the last reset_stats() (or since
@@ -199,7 +212,8 @@ class FluidSim {
   /// link's peak to its current overload. Costs O(touched links): only
   /// links that carried flows since the last reset can be nonzero. The
   /// touched list then restarts as the links carrying flows now, since
-  /// those keep accumulating.
+  /// those keep accumulating, and their rows restart their fold point at
+  /// now.
   void reset_stats();
 
   /// Total bytes still in flight.
@@ -253,21 +267,68 @@ class FluidSim {
     FlowId id;
   };
 
+  /// Rows with a positive excess of one kind (ECN or PFC), counted per
+  /// key. A row with excess x > 0 gains ceil(k*x) marks in an interval
+  /// whose factor is k (dt times the configured rate), and the smallest
+  /// key tells accumulate_until when that is exactly 1 for every such
+  /// row, so the interval needs no per-row work.
+  class MarkKeys {
+   public:
+    static constexpr std::uint8_t kNone = 0xff;  ///< The key of x <= 0.
+    /// x's key: -ilogb(x) - 2 clamped to [-kBias, kCount - kBias) and
+    /// stored offset by kBias; the lowest key when x < 2^-900 or x is
+    /// huge, kNone when x <= 0. Then 2^key <= 1/(2x), so a factor
+    /// k < 2^key gives k*x < 1/2.
+    static std::uint8_t key_of(double x);
+    /// Moves a row's registration from `key` to `to` (either may be kNone).
+    void move(std::uint8_t& key, std::uint8_t to);
+    /// False when every registered row gains exactly 1 at factor k: k is
+    /// at least 2^-170 (with x >= 2^-900, k*x cannot underflow to 0) and
+    /// below 2^(smallest key). A row at the lowest key takes the pass in
+    /// every interval.
+    bool needs_pass(double k) const { return total_ > 0 && !(k >= 0x1p-170 && k < limit_); }
+
+   private:
+    static constexpr int kCount = 64;
+    static constexpr int kBias = 32;
+    std::array<std::uint32_t, kCount> rows_{};
+    std::uint32_t total_ = 0;
+    int min_ = kCount;    ///< Smallest stored key with rows; kCount when none.
+    double limit_ = 0.0;  ///< 2^(min_ - kBias); 0 when min_ is the lowest key.
+  };
+
   /// One link that carries flows, as the last solve of its shard
   /// published it: the one per-link view of the current solution
-  /// (link_rate, hop_latency and PFC read it too). The factors are the
-  /// per-interval multipliers accumulate_until integrates, fixed at
-  /// publish so the pass is straight-line arithmetic: a row with neither
-  /// rate nor demand has every factor 0 and adds +0.0 and 0, which leaves
-  /// the non-negative counters bit for bit as skipping it would.
+  /// (link_rate, hop_latency and PFC read it too), and the link's lazy
+  /// counter state. Between two folds of a row its published values are
+  /// constant, and its counters accrue from its fold point on:
+  ///   * bytes, busy and util time: rate*dt/8, dt while rate > 0, and
+  ///     util*dt, over dt = accumulated_until_ - since;
+  ///   * ECN marks: one per interval counted since since_interval, while
+  ///     ecn_excess > 0;
+  ///   * PFC pauses, as the upstream port of switch `dst` while rate > 0:
+  ///     pfc_rows_[dst] per interval counted since since_interval, one
+  ///     for each row leaving dst with a positive PFC excess.
+  /// An interval in which some increment is not exactly 1 adds the
+  /// difference to stats_ in accumulate_until's exact pass. A fold adds
+  /// the accrued amounts to stats_ and moves the fold point to now; a row
+  /// folds before any of its values changes (publish_link, retire_live,
+  /// refresh_util) and before pfc_rows_[dst] changes (register_pfc), and
+  /// reset_stats restarts every fold point.
   struct LiveLink {
     double rate = 0.0;        ///< Allocated rate sum, bits/sec.
     double overload = 0.0;    ///< Offered demand / effective capacity.
-    double busy = 0.0;        ///< 1 when rate > 0, else 0.
     double util = 0.0;        ///< min(1, rate/effcap); 0 when effcap <= 0.
     double ecn_excess = 0.0;  ///< overload - ecn_util_threshold, when above.
     double pfc_excess = 0.0;  ///< overload - pfc_overload, when above: pauses upstream.
+    core::Seconds since = 0.0;         ///< Time of the last fold.
+    std::uint64_t since_interval = 0;  ///< intervals_ at the last fold.
     topo::LinkId link = topo::kInvalidLink;
+    topo::NodeId dst = topo::kInvalidNode;  ///< The switch whose congestion pauses it.
+    std::uint8_t ecn_key = MarkKeys::kNone;  ///< Key of ecn_excess, set at publish.
+    std::uint8_t pfc_key = MarkKeys::kNone;  ///< Key of pfc_excess, set at publish.
+    std::uint8_t ecn_registered = MarkKeys::kNone;  ///< Key counted in ecn_keys_.
+    std::uint8_t pfc_registered = MarkKeys::kNone;  ///< Key counted in pfc_keys_, pfc_rows_.
     bool loaded = false;  ///< Rate or demand > 0: traced as a util sample.
   };
 
@@ -281,7 +342,8 @@ class FluidSim {
   void remove_member(FlowId id);
   /// True when every link the batch touches is used by batch flows only:
   /// the batch forms its own constraint island and the rest of the active
-  /// set keeps its water-filling levels.
+  /// set keeps its water-filling levels. O(1) when the batch is the whole
+  /// active set.
   bool batch_is_island(std::span<const FlowId> batch);
   /// A full solve: re-solves the shards that changed since the last
   /// solve, or every shard when `every_shard` (resolve_rates).
@@ -290,36 +352,53 @@ class FluidSim {
   /// flows still active, so rates sampled between runs are current.
   void finish_pending_solve();
   /// Appends a link to live_links_ unless it is already there, and
-  /// touches it.
+  /// touches it. A new row accrues from now.
   void add_live(topo::LinkId l);
   /// Appends a link to touched_ unless it is already there.
   void touch(topo::LinkId l);
-  /// Removes a link's row from live_links_; the last row takes its slot.
+  /// Folds a link's row, unregisters its keys and removes it from
+  /// live_links_; the last row takes its slot.
   void retire_live(topo::LinkId l);
-  /// Writes a live link's row from its shard's solution. Touches only
-  /// that row, so shards publish concurrently.
+  /// Folds a live link's row and writes it from its shard's solution,
+  /// keys included. Touches only that row and its stats, so shards
+  /// publish concurrently; rekey_links registers the keys afterwards.
   void publish_link(topo::LinkId l, double rate, double overload, double demand);
-  /// Recomputes a live link's util factor after effcap_ changed.
+  /// Registers the keys of just-published rows in the mark keys and in
+  /// pfc_rows_. Serial: PFC bookkeeping crosses shards.
+  void rekey_links(std::span<const topo::LinkId> links);
+  /// Moves a row's PFC registration to `key`. When the row gains or loses
+  /// its PFC excess, the live in-links of its source switch fold before
+  /// pfc_rows_ of that switch changes.
+  void register_pfc(LiveLink& r, std::uint8_t key);
+  /// Folds a live link's row and recomputes its util factor after
+  /// effcap_ changed.
   void refresh_util(topo::LinkId l);
-  /// Integrates stats over [accumulated_until_, t] at current rates.
+  /// Adds what a row has accrued since its fold point to `st`.
+  void add_pending(const LiveLink& r, LinkStats& st) const;
+  /// Adds a row's pending counters to stats_ and moves its fold point
+  /// to now.
+  void fold(LiveLink& r);
+  /// Counts the interval [accumulated_until_, t]; makes the exact pass
+  /// when some row's increment in it may not be 1, and emits traced util
+  /// samples.
   void accumulate_until(core::Seconds t);
 
   topo::Fabric& fabric_;
   Router router_;
   Config cfg_;
   core::Seconds now_ = 0.0;
-  core::Seconds accumulated_until_ = 0.0;  ///< Stats integrated up to here.
+  core::Seconds accumulated_until_ = 0.0;  ///< Intervals counted up to here.
+  std::uint64_t intervals_ = 0;  ///< Intervals of positive length counted.
 
   std::vector<FlowState> flows_;
   std::vector<Drain> drain_;  ///< Parallel to flows_.
   std::vector<FlowId> active_;
   std::vector<Pending> pending_;  ///< Min-heap by start.
-  std::vector<std::uint32_t> pfc_rows_;  ///< accumulate_until scratch.
 
-  /// Only links in touched_ may be nonzero: every stats writer writes
-  /// live links only (accumulate_until, PFC on upstream links with rate,
-  /// the shard publish of peaks and the solve_full peak refresh), and a
-  /// link enters touched_ whenever it enters live_links_.
+  /// Folded counters. Only links in touched_ may be nonzero: every stats
+  /// writer writes live links only (folds, the exact pass, the shard
+  /// publish of peaks and the solve_full peak refresh), and a link enters
+  /// touched_ whenever it enters live_links_.
   std::vector<LinkStats> stats_;
   std::vector<topo::LinkId> touched_;
   std::vector<std::uint8_t> touched_flag_;  ///< 1 iff the link is in touched_.
@@ -336,6 +415,11 @@ class FluidSim {
   /// reads 0 rate and base hop latency.
   std::vector<LiveLink> live_links_;
   std::vector<std::uint32_t> live_pos_;  ///< Index in live_links_, or kNotLive.
+  MarkKeys ecn_keys_;  ///< Rows with a positive ECN excess.
+  MarkKeys pfc_keys_;  ///< Rows with a positive PFC excess.
+  /// Per node: rows leaving it with a positive PFC excess, which is what
+  /// each of its in-links with rate > 0 is paused per interval.
+  std::vector<std::uint32_t> pfc_rows_;
   std::uint64_t mark_epoch_counter_ = 0;    ///< For batch_is_island.
   std::vector<std::uint64_t> mark_epoch_;
   std::vector<std::uint32_t> mark_count_;

@@ -380,9 +380,11 @@ void ShardSolver::solve_shard(Shard& s, bool timed) {
   }
 
   // Publish into the simulator's global view: flow rates into its drain
-  // array, link state into the links' live rows. Shards own disjoint
-  // flows and links, and every shard link got its row at compile, so
-  // concurrent publishes never touch the same element.
+  // array, link state into the links' live rows (each row folds its
+  // counters first). Shards own disjoint flows and links, and every shard
+  // link got its row at compile, so concurrent publishes never touch the
+  // same element; the mark keys, shared across shards, are registered
+  // after the shards ran (solve).
   for (std::size_t i = 0; i < nf; ++i) {
     sim_.drain_[s.flows[i]].rate = s.rate[i];
   }
@@ -444,6 +446,7 @@ void ShardSolver::solve(Scope scope) {
   const bool telemetry = scope != Scope::Silent && sim_.cfg_.shard_telemetry &&
                          (sim_.metrics_ != nullptr || sim_.tracer_ != nullptr);
   run_shards(telemetry);
+  for (std::uint32_t sid : todo_) sim_.rekey_links(shards_[sid].links);
   if (telemetry) emit_telemetry();
 }
 

@@ -78,7 +78,9 @@ TEST(EpochWrap, SolveAcrossWrapMatchesUnwrappedTwin) {
   FluidSim normal(fabric_a);
   FluidSim wrapping(fabric_b);
   // Three increments from the top: the first few solves straddle the
-  // wrap of every counter family.
+  // wrap of every counter family. The first wave lands on an idle fabric,
+  // so it is the whole active set and skips the island marks; the mark
+  // counter wraps at the fifth wave, the fourth that marks.
   wrapping.debug_set_epoch_counters(std::numeric_limits<std::uint64_t>::max() - 3);
 
   const auto want = run_schedule(normal, fabric_a);

@@ -650,6 +650,57 @@ TEST(FluidSim, TracerLeavesStatsAndRatesUnchanged) {
   }
 }
 
+// link_stats() returns the stored counters plus what is pending and
+// commits nothing. Over the zoo churn script, a run that reads every
+// link after every step ends with every LinkStats and every flow's finish
+// bit-equal to a run that never reads. In the reading run no counter
+// decreases between resets.
+TEST(FluidSim, StatsReadsArePure) {
+  std::uint64_t seed = 1;
+  for (const topo::FabricParams& p : churn_zoo()) {
+    SCOPED_TRACE(zoo_name(p));
+    auto run = [&](bool read) {
+      topo::Fabric f(p);
+      FluidSim sim(f);
+      const std::size_t nlinks = f.topo().link_count();
+      std::vector<LinkStats> last(nlinks);
+      run_zoo_churn(
+          f, sim, seed, [&](int) { std::fill(last.begin(), last.end(), LinkStats{}); },
+          [&](int step) {
+            if (!read) return;
+            for (std::size_t l = 0; l < nlinks; ++l) {
+              const LinkStats ls = sim.link_stats(static_cast<topo::LinkId>(l));
+              const LinkStats& was = last[l];
+              ASSERT_TRUE(ls.bytes_forwarded >= was.bytes_forwarded &&
+                          ls.busy_time >= was.busy_time && ls.util_time >= was.util_time &&
+                          ls.ecn_marks >= was.ecn_marks && ls.pfc_pauses >= was.pfc_pauses &&
+                          ls.peak_overload >= was.peak_overload)
+                  << "a counter of link " << l << " decreased at step " << step;
+              last[l] = ls;
+            }
+          });
+      std::vector<std::uint64_t> bits;
+      auto put = [&bits](double v) { bits.push_back(std::bit_cast<std::uint64_t>(v)); };
+      for (FlowId id = 0; id < sim.flow_count(); ++id) put(sim.flow(id).finish);
+      for (std::size_t l = 0; l < nlinks; ++l) {
+        const LinkStats ls = sim.link_stats(static_cast<topo::LinkId>(l));
+        put(ls.bytes_forwarded);
+        put(ls.busy_time);
+        put(ls.util_time);
+        bits.push_back(ls.ecn_marks);
+        bits.push_back(ls.pfc_pauses);
+        put(ls.peak_overload);
+      }
+      return bits;
+    };
+    const std::vector<std::uint64_t> quiet = run(false);
+    const std::vector<std::uint64_t> reading = run(true);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_TRUE(quiet == reading);
+    ++seed;
+  }
+}
+
 TEST(FluidSim, InjectBatchMatchesSequentialInject) {
   auto f = small_fabric();
   int dst = f.params().rails * f.params().hosts_per_block;

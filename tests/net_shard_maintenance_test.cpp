@@ -10,11 +10,17 @@
 //    reorders the active set) and of a pending one, degradations down to
 //    zero, a link failure with reroute_flows, the link's return,
 //    reset_stats, resolve_rates and run_watch — runs on four fabric
-//    styles, with and without dual-ToR wiring and core oversubscription.
-//    At every checkpoint one FNV-1a digest covers the hex of every flow's
-//    rate, finish and remaining bytes and of every link's hop latency and
-//    LinkStats. The digests are checked in and compared at 1 and 4 lanes;
-//    intentional changes regenerate them with
+//    styles, with and without dual-ToR wiring and core oversubscription,
+//    under three marking configurations: the default one, ECN marking
+//    off (every per-interval mark increment is 0) and ECN and PFC rates
+//    of 1e8/s (most increments far above 1). At every checkpoint two
+//    FNV-1a digests are taken over hex values. The exact one covers every
+//    flow's rate, finish and remaining bytes and every link's hop latency,
+//    ECN marks, PFC pauses and peak overload. The integrated one covers
+//    each link's bytes forwarded, busy time and util time, whose last bits
+//    depend on how the simulator groups intervals when it integrates. The
+//    digests are checked in and compared at 1 and 4 lanes; intentional
+//    changes regenerate them with
 //
 //      GOLDEN_REGEN=1 ./build/tests/net_shard_maintenance_test
 //
@@ -100,37 +106,63 @@ std::uint64_t fnv1a(std::uint64_t h, const char* data, std::size_t n) {
   return h;
 }
 
-// One digest of everything the simulator publishes: per flow rate,
-// finish and remaining bytes; per link hop latency and LinkStats.
-std::uint64_t digest(const FluidSim& sim) {
-  std::uint64_t h = kFnvOffset;
+// The digests of one checkpoint (see the header comment).
+struct Digest {
+  std::uint64_t exact = kFnvOffset;
+  std::uint64_t integrated = kFnvOffset;
+};
+
+Digest digest(const FluidSim& sim) {
+  Digest d;
   char buf[48];
-  auto put = [&](double v) {
+  auto put = [&buf](std::uint64_t& h, double v) {
     const int n = std::snprintf(buf, sizeof buf, "%a;", v);
     h = fnv1a(h, buf, static_cast<std::size_t>(n));
   };
-  auto put_count = [&](std::uint64_t v) {
+  auto put_count = [&buf](std::uint64_t& h, std::uint64_t v) {
     const int n = std::snprintf(buf, sizeof buf, "%llu;", static_cast<unsigned long long>(v));
     h = fnv1a(h, buf, static_cast<std::size_t>(n));
   };
   for (FlowId id = 0; id < sim.flow_count(); ++id) {
-    put(sim.current_rate(id));
-    put(sim.flow(id).finish);
-    put(sim.remaining(id));
+    put(d.exact, sim.current_rate(id));
+    put(d.exact, sim.flow(id).finish);
+    put(d.exact, sim.remaining(id));
   }
   const std::size_t nlinks = sim.fabric().topo().link_count();
   for (std::size_t l = 0; l < nlinks; ++l) {
     const auto id = static_cast<topo::LinkId>(l);
-    put(sim.hop_latency(id));
-    const LinkStats& s = sim.link_stats(id);
-    put(s.bytes_forwarded);
-    put(s.busy_time);
-    put(s.util_time);
-    put_count(s.ecn_marks);
-    put_count(s.pfc_pauses);
-    put(s.peak_overload);
+    put(d.exact, sim.hop_latency(id));
+    const LinkStats s = sim.link_stats(id);
+    put_count(d.exact, s.ecn_marks);
+    put_count(d.exact, s.pfc_pauses);
+    put(d.exact, s.peak_overload);
+    put(d.integrated, s.bytes_forwarded);
+    put(d.integrated, s.busy_time);
+    put(d.integrated, s.util_time);
   }
-  return h;
+  return d;
+}
+
+// A marking configuration the churn script runs under; the name is
+// appended to the scenario's in the fixture.
+struct Marking {
+  const char* name;
+  double ecn_marks_per_flow_sec;
+  double pfc_pauses_per_sec;
+};
+
+// ECN off makes every per-interval ECN increment 0. At 1e8/s most
+// increments are far above 1, and the largest product stays below 2^64:
+// a blackholed link's overload of 1e9 over the script's intervals of at
+// most 1 s gives at most 1e17.
+const Marking kMarkings[] = {
+    {"", FluidSimConfig{}.ecn_marks_per_flow_sec, FluidSimConfig{}.pfc_pauses_per_sec},
+    {"ecn-off", 0.0, FluidSimConfig{}.pfc_pauses_per_sec},
+    {"heavy-marks", 1e8, 1e8},
+};
+
+std::string run_name(const Scenario& sc, const Marking& m) {
+  return m.name[0] == '\0' ? std::string(sc.name) : std::string(sc.name) + "/" + m.name;
 }
 
 std::vector<FlowSpec> random_wave(const topo::Fabric& fabric, core::Rng& rng, int n,
@@ -170,12 +202,14 @@ topo::LinkId busy_link(const FluidSim& sim, core::Rng& rng) {
   return 0;
 }
 
-// Replays the churn script for one scenario and returns the digest taken
-// at every checkpoint.
-std::vector<std::uint64_t> run_churn(const Scenario& sc, int lanes) {
+// Replays the churn script for one scenario and marking configuration
+// and returns the digests taken at every checkpoint.
+std::vector<Digest> run_churn(const Scenario& sc, const Marking& marking, int lanes) {
   topo::Fabric fabric(params_for(sc));
   FluidSimConfig cfg;
   cfg.solver_threads = lanes;
+  cfg.ecn_marks_per_flow_sec = marking.ecn_marks_per_flow_sec;
+  cfg.pfc_pauses_per_sec = marking.pfc_pauses_per_sec;
   FluidSim sim(fabric, cfg);
   core::Rng rng(sc.seed * 7919);
 
@@ -194,7 +228,7 @@ std::vector<std::uint64_t> run_churn(const Scenario& sc, int lanes) {
   // Late arrivals, still pending when one of them is aborted.
   auto late = sim.inject_batch(random_wave(fabric, rng, 6, core::msec(5), true, 900));
 
-  std::vector<std::uint64_t> digests;
+  std::vector<Digest> digests;
   auto checkpoint = [&] { digests.push_back(digest(sim)); };
 
   sim.run(core::usec(5));
@@ -257,35 +291,49 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-// Fixture text: one line per scenario, its name then one digest per
-// checkpoint.
-std::string to_text(const std::map<std::string, std::vector<std::uint64_t>>& all) {
+// Fixture text: two lines per run, its name and kind ("exact" or
+// "integrated") then one digest per checkpoint. Parsed back into a map
+// keyed by "name kind".
+using DigestLines = std::map<std::string, std::vector<std::uint64_t>>;
+
+void add_lines(DigestLines& all, const std::string& name, const std::vector<Digest>& digests) {
+  std::vector<std::uint64_t>& exact = all[name + " exact"];
+  std::vector<std::uint64_t>& integrated = all[name + " integrated"];
+  for (const Digest& d : digests) {
+    exact.push_back(d.exact);
+    integrated.push_back(d.integrated);
+  }
+}
+
+std::string to_text(const DigestLines& all) {
   std::ostringstream out;
-  out << "# shard maintenance churn: FNV-1a per checkpoint of flow rate/finish/remaining"
-         " and link hop latency/LinkStats (hex doubles)\n";
-  for (const auto& [name, digests] : all) {
-    out << name;
+  out << "# shard maintenance churn: FNV-1a per checkpoint (hex doubles); exact: flow"
+         " rate/finish/remaining and link hop latency/ECN/PFC/peak overload; integrated:"
+         " link bytes/busy/util\n";
+  for (const auto& [key, digests] : all) {
+    out << key;
     for (std::uint64_t d : digests) out << ' ' << hex(d);
     out << '\n';
   }
   return out.str();
 }
 
-bool from_text(const std::string& text, std::map<std::string, std::vector<std::uint64_t>>& all) {
+bool from_text(const std::string& text, DigestLines& all) {
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
-    std::string name;
-    fields >> name;
+    std::string name, kind;
+    fields >> name >> kind;
+    if (kind != "exact" && kind != "integrated") return false;
     std::vector<std::uint64_t> digests;
     for (std::string tok; fields >> tok;) {
       char* end = nullptr;
       digests.push_back(std::strtoull(tok.c_str(), &end, 16));
       if (end == tok.c_str() || *end != '\0') return false;
     }
-    all[name] = std::move(digests);
+    all[name + " " + kind] = std::move(digests);
   }
   return !all.empty();
 }
@@ -297,28 +345,36 @@ bool regen_requested() {
 
 TEST(ShardMaintenance, ChurnMatchesCheckedInDigests) {
   if (regen_requested()) {
-    std::map<std::string, std::vector<std::uint64_t>> all;
-    for (const Scenario& sc : kScenarios) all[sc.name] = run_churn(sc, 1);
+    DigestLines all;
+    for (const Scenario& sc : kScenarios) {
+      for (const Marking& m : kMarkings) add_lines(all, run_name(sc, m), run_churn(sc, m, 1));
+    }
     std::ofstream(kFixturePath) << to_text(all);
     GTEST_LOG_(INFO) << "regenerated " << kFixturePath;
   }
   std::ifstream in(kFixturePath);
   std::stringstream buf;
   buf << in.rdbuf();
-  std::map<std::string, std::vector<std::uint64_t>> golden;
+  DigestLines golden;
   ASSERT_TRUE(from_text(buf.str(), golden))
       << "missing or malformed fixture " << kFixturePath
       << " — regenerate with GOLDEN_REGEN=1 ./net_shard_maintenance_test";
-  ASSERT_EQ(golden.size(), std::size(kScenarios));
+  ASSERT_EQ(golden.size(), 2 * std::size(kScenarios) * std::size(kMarkings));
   for (const Scenario& sc : kScenarios) {
-    ASSERT_EQ(golden.count(sc.name), 1u) << sc.name;
-    const std::vector<std::uint64_t>& want = golden.at(sc.name);
-    for (int lanes : {1, 4}) {
-      const std::vector<std::uint64_t> got = run_churn(sc, lanes);
-      ASSERT_EQ(got.size(), want.size()) << sc.name << " at " << lanes << " lanes";
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(hex(got[i]), hex(want[i]))
-            << sc.name << " at " << lanes << " lanes, checkpoint " << i;
+    for (const Marking& m : kMarkings) {
+      const std::string name = run_name(sc, m);
+      for (int lanes : {1, 4}) {
+        DigestLines got;
+        add_lines(got, name, run_churn(sc, m, lanes));
+        for (const auto& [key, digests] : got) {
+          ASSERT_EQ(golden.count(key), 1u) << key;
+          const std::vector<std::uint64_t>& want = golden.at(key);
+          ASSERT_EQ(digests.size(), want.size()) << key << " at " << lanes << " lanes";
+          for (std::size_t i = 0; i < digests.size(); ++i) {
+            EXPECT_EQ(hex(digests[i]), hex(want[i]))
+                << key << " at " << lanes << " lanes, checkpoint " << i;
+          }
+        }
       }
     }
   }
