@@ -17,6 +17,16 @@ using core::Seconds;
 
 namespace {
 constexpr Seconds kNever = std::numeric_limits<double>::infinity();
+
+// Heap order of scheduler events: the earliest (t, kind, seq) on top.
+struct LaterEvent {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const {
+    if (a.t != b.t) return a.t > b.t;
+    if (a.kind != b.kind) return a.kind > b.kind;
+    return a.seq > b.seq;
+  }
+};
 }  // namespace
 
 const char* to_string(SegmentEnd end) {
@@ -191,21 +201,14 @@ const TelemetryStore* FleetRuntime::job_telemetry(int job_id) const {
 
 void FleetRuntime::push_event(Seconds t, EventKind kind, int idx) {
   events_.push_back(Event{t, kind, idx, event_seq_++});
+  std::push_heap(events_.begin(), events_.end(), LaterEvent{});
 }
 
 bool FleetRuntime::pop_next_event(Seconds before_or_at, Event* out) {
-  const Event* best = nullptr;
-  for (const Event& e : events_) {
-    if (e.t > before_or_at) continue;
-    if (!best || e.t < best->t ||
-        (e.t == best->t && (e.kind < best->kind ||
-                            (e.kind == best->kind && e.seq < best->seq)))) {
-      best = &e;
-    }
-  }
-  if (!best) return false;
-  *out = *best;
-  events_.erase(events_.begin() + (best - events_.data()));
+  if (events_.empty() || events_.front().t > before_or_at) return false;
+  std::pop_heap(events_.begin(), events_.end(), LaterEvent{});
+  *out = events_.back();
+  events_.pop_back();
   return true;
 }
 
@@ -258,6 +261,9 @@ void FleetRuntime::start_segment(JobRt& job) {
     for (const FaultSpec& f : job.local_faults) job.engine->inject(f);
     job.local_faults_spent = true;
   }
+  const int id = job.ledger.job_id;
+  const auto at = std::lower_bound(running_.begin(), running_.end(), id);
+  if (at == running_.end() || *at != id) running_.insert(at, id);
   job.state = JobState::Running;
   job.engine->start();
   if (job.engine->done()) handle_engine_done(job);
@@ -746,15 +752,20 @@ FleetOutcome FleetRuntime::run() {
   ran_ = true;
 
   while (true) {
+    // The earliest-waking running job; ties go to the lowest id.
     JobRt* next = nullptr;
-    for (JobRt& j : jobs_) {
+    std::size_t kept = 0;
+    for (const int id : running_) {
+      JobRt& j = jobs_[static_cast<std::size_t>(id)];
       if (j.state != JobState::Running || !j.engine || j.engine->done()) {
         continue;
       }
+      running_[kept++] = id;
       if (!next || j.engine->wake_time() < next->engine->wake_time()) {
         next = &j;
       }
     }
+    running_.resize(kept);
     Seconds wake = next ? next->engine->wake_time() : kNever;
     Event ev;
     // Events at or before the earliest engine wake run first; otherwise

@@ -235,7 +235,7 @@ class FleetRuntime {
     std::map<int, int> fault_map;
   };
 
-  // Scheduler events; processed in (t, prio, seq) order, before any
+  // Scheduler events; processed in (t, kind, seq) order, before any
   // engine whose wake time is later (ties: events first).
   enum class EventKind : std::uint8_t {
     FaultHeal,
@@ -283,8 +283,11 @@ class FleetRuntime {
   std::vector<FleetFaultLedger> faults_;
   /// Links each fleet fault took down (for its heal event).
   std::vector<std::vector<topo::LinkId>> fault_links_;
-  std::vector<Event> events_;
+  std::vector<Event> events_;  ///< Min-heap on (t, kind, seq).
   int event_seq_ = 0;
+  /// Ids of the jobs a segment started running, ascending. A job that
+  /// stopped running leaves at the next pick; start_segment re-adds it.
+  std::vector<int> running_;
   std::vector<char> free_;  ///< Free mask over fabric hosts.
   /// Cordoned host -> job it was pulled from; on heal the replacement is
   /// offered back to that tenant before rejoining the free pool.
