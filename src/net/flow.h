@@ -27,16 +27,19 @@ struct FlowSpec {
   std::uint64_t tag = 0;       ///< Caller-defined grouping (QP / collective op).
 };
 
-/// Runtime state of a flow. The two numbers every event reads, bytes
-/// left and current rate, live in FluidSim's dense per-flow drain array
-/// instead (FluidSim::remaining and FluidSim::current_rate), so the event
-/// loop's scans never touch this struct.
+/// Runtime state of a flow. Its bytes left and current rate live in
+/// FluidSim's dense per-flow drain array instead (FluidSim::remaining and
+/// FluidSim::current_rate), so the shard publish and the completion
+/// check never touch this struct.
 struct FlowState {
   FlowSpec spec;
   FiveTuple tuple;
   std::vector<topo::LinkId> path;  ///< Host uplink ... ToR downlink.
   core::Seconds finish = -1.0;  ///< Completion time; <0 while active.
   bool admitted = false;  ///< False when routing failed (unreachable).
+  /// True once the event loop admitted it at its start: it then sits in
+  /// the active set, not the pending heap.
+  bool started = false;
   /// True when the flow was torn down before completing (its sender
   /// died, or no surviving route existed after a reroute). Aborted flows
   /// hold no fabric bandwidth and never finish (finish stays < 0).

@@ -7,19 +7,18 @@
 //
 //  * A bitwise pin. A scripted churn — staggered arrival waves that merge
 //    shards, completions that split them, aborts of an active flow (which
-//    reorders the active set) and of a pending one, degradations down to
-//    zero, a link failure with reroute_flows, the link's return,
+//    leaves the active set in place) and of a pending one, degradations
+//    down to zero, a link failure with reroute_flows, the link's return,
 //    reset_stats, resolve_rates and run_watch — runs on four fabric
 //    styles, with and without dual-ToR wiring and core oversubscription,
 //    under three marking configurations: the default one, ECN marking
-//    off (every per-interval mark increment is 0) and ECN and PFC rates
-//    of 1e8/s (most increments far above 1). At every checkpoint two
-//    FNV-1a digests are taken over hex values. The exact one covers every
-//    flow's rate, finish and remaining bytes and every link's hop latency,
-//    ECN marks, PFC pauses and peak overload. The integrated one covers
-//    each link's bytes forwarded, busy time and util time, whose last bits
-//    depend on how the simulator groups intervals when it integrates. The
-//    digests are checked in and compared at 1 and 4 lanes; intentional
+//    off (no ECN mark mass) and ECN and PFC rates of 1e8/s (mark masses
+//    far above 1 per change point). At every checkpoint two FNV-1a
+//    digests are taken over hex values. The exact one covers every flow's
+//    rate, finish and remaining bytes and every link's hop latency, ECN
+//    marks, PFC pauses and peak overload. The integrated one covers each
+//    link's bytes forwarded, busy time and util time. The digests are
+//    checked in and compared at 1 and 4 lanes; intentional
 //    changes regenerate them with
 //
 //      GOLDEN_REGEN=1 ./build/tests/net_shard_maintenance_test
@@ -52,6 +51,7 @@
 #include "core/rng.h"
 #include "core/units.h"
 #include "net/fluid_sim.h"
+#include "obs/metrics.h"
 
 namespace astral::net {
 namespace {
@@ -403,12 +403,12 @@ Seconds expected_latency(const FluidSim& sim, std::span<const FlowId> flows,
          (overload > 1.0 ? cfg.max_queue_delay * std::min(1.0, overload - 1.0) : 0.0);
 }
 
-// Aborting a flow swaps the last active flow into its slot. When that
-// flow lives in another shard, that shard's cached active-set order is
-// stale, and the demand it sums on a shared link must follow the new
-// order. Uplink degradations are searched until the two orders round
-// differently, so a shard left clean after the swap shows up bitwise.
-TEST(ShardMaintenance, AbortReorderRecompilesTheMovedFlowsShard) {
+// Aborting a flow removes it from the active set in place: the survivors
+// keep their order, so only the aborted flow's shard re-solves. Uplink
+// degradations are searched until the demand sum on a shared link rounds
+// differently in the order A B C than in C A B (the order a swap-removal
+// would leave), so a reorder would show bitwise.
+TEST(ShardMaintenance, AbortResolvesOnlyTheAbortedFlowsShard) {
   topo::FabricParams p;
   p.rails = 2;
   p.hosts_per_block = 4;
@@ -416,7 +416,11 @@ TEST(ShardMaintenance, AbortReorderRecompilesTheMovedFlowsShard) {
   p.pods = 1;
   p.dual_tor = false;
   topo::Fabric fabric(p);
-  FluidSim sim(fabric);
+  FluidSimConfig cfg;
+  cfg.shard_telemetry = true;
+  FluidSim sim(fabric, cfg);
+  obs::Metrics metrics;
+  sim.set_metrics(&metrics);
   auto hosts = fabric.topo().hosts();
   auto spec = [&](std::size_t src, std::size_t dst, int rail, Seconds start) {
     FlowSpec s;
@@ -428,32 +432,31 @@ TEST(ShardMaintenance, AbortReorderRecompilesTheMovedFlowsShard) {
     s.start = start;
     return s;
   };
-  // X on rail 1 is its own shard; A, B and C converge on one host
-  // downlink on rail 0. Admission order, and so active order, is X A B C.
-  const FlowSpec specs[] = {spec(3, 5, 1, 0.0), spec(0, 4, 0, core::usec(1)),
-                            spec(1, 4, 0, core::usec(2)), spec(2, 4, 0, core::usec(3))};
+  // X and Y on rail 1 share a shard; A, B and C converge on one host
+  // downlink on rail 0. Admission order, and so active order, is
+  // X Y A B C.
+  const FlowSpec specs[] = {spec(3, 5, 1, 0.0), spec(3, 5, 1, 0.0),
+                            spec(0, 4, 0, core::usec(1)), spec(1, 4, 0, core::usec(2)),
+                            spec(2, 4, 0, core::usec(3))};
   std::vector<std::vector<topo::LinkId>> paths;
   for (const FlowSpec& s : specs) paths.push_back(*sim.predict_path(s));
-  const topo::LinkId shared = paths[1].back();
-  ASSERT_EQ(paths[2].back(), shared);
+  const topo::LinkId shared = paths[2].back();
   ASSERT_EQ(paths[3].back(), shared);
+  ASSERT_EQ(paths[4].back(), shared);
 
-  // Search uplink factors until the order A B C and the order C A B give
-  // different published latencies; the flows are not injected yet, so a
-  // probe simulator with the same paths evaluates both orders.
   bool found = false;
   for (int k = 1; k < 200 && !found; ++k) {
     const double f[] = {0.3 + 0.0037 * k, 0.25 + 0.0051 * k, 0.2 + 0.0029 * k};
     FluidSim probe(fabric);
     std::vector<FlowId> abc;
     for (int i = 0; i < 3; ++i) {
-      probe.degrade_link(paths[1 + i][0], f[i]);
-      abc.push_back(probe.inject(specs[1 + i]));
+      probe.degrade_link(paths[2 + i][0], f[i]);
+      abc.push_back(probe.inject(specs[2 + i]));
     }
     probe.run(core::usec(4));
     const std::vector<FlowId> cab = {abc[2], abc[0], abc[1]};
     if (expected_latency(probe, abc, shared) == expected_latency(probe, cab, shared)) continue;
-    for (int i = 0; i < 3; ++i) sim.degrade_link(paths[1 + i][0], f[i]);
+    for (int i = 0; i < 3; ++i) sim.degrade_link(paths[2 + i][0], f[i]);
     found = true;
   }
   ASSERT_TRUE(found) << "no uplink factors make the demand sum order-dependent";
@@ -462,16 +465,23 @@ TEST(ShardMaintenance, AbortReorderRecompilesTheMovedFlowsShard) {
   for (const FlowSpec& s : specs) ids.push_back(sim.inject(s));
   sim.run(core::usec(4));
   ASSERT_EQ(sim.solver_shard_count(), 2u);
-  const std::vector<FlowId> abc = {ids[1], ids[2], ids[3]};
-  EXPECT_EQ(sim.hop_latency(shared), expected_latency(sim, abc, shared));
+  const std::vector<FlowId> abc = {ids[2], ids[3], ids[4]};
+  const Seconds before = sim.hop_latency(shared);
+  EXPECT_EQ(before, expected_latency(sim, abc, shared));
+  const double rate_a = sim.current_rate(ids[2]);
 
-  sim.abort_flow(ids[0]);  // C moves into X's slot: active order is C A B
-  const std::vector<FlowId> cab = {ids[3], ids[1], ids[2]};
-  ASSERT_TRUE(std::equal(cab.begin(), cab.end(), sim.active_flows().begin(),
+  const std::uint64_t solved = metrics.counter("fluidsim.shards.solved");
+  sim.abort_flow(ids[0]);
+  EXPECT_EQ(metrics.counter("fluidsim.shards.solved"), solved + 1)
+      << "only the aborted flow's shard re-solves";
+  const std::vector<FlowId> yabc = {ids[1], ids[2], ids[3], ids[4]};
+  ASSERT_TRUE(std::equal(yabc.begin(), yabc.end(), sim.active_flows().begin(),
                          sim.active_flows().end()));
   const Seconds got = sim.hop_latency(shared);
-  const Seconds want = expected_latency(sim, cab, shared);
-  EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << got << " vs " << want;
+  EXPECT_EQ(std::memcmp(&got, &before, sizeof got), 0) << got << " vs " << before;
+  const double rate_now = sim.current_rate(ids[2]);
+  EXPECT_EQ(std::memcmp(&rate_now, &rate_a, sizeof rate_now), 0);
+  EXPECT_GT(sim.current_rate(ids[1]), 0.0);
 }
 
 // Connected components of the active paths, by the test's own union-find
