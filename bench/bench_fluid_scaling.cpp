@@ -9,17 +9,19 @@
 // counting hook. The drains run in three rounds, each draining every size
 // once, smallest first, so the 64K drain follows the 16K one and never a
 // 1M drain; a point reads the median of its three runs. The end-to-end
-// run must scale near-linearly: the 1M-flow drain may take at most 32x
-// the 64K one (16x more flows, so 2x linear), read as the median of the
+// run must scale near-linearly: the 1M-flow drain may take at most 30x
+// the 64K one (16x more flows; the worst median ratio over five runs on
+// a 4-vCPU x86-64 VM, 24.6x, plus 20%), read as the median of the
 // per-round 1M/64K ratios, so a host that speeds up or slows down over
 // the minutes the bench runs moves both sides of a ratio instead of
 // deciding the gate; the per-round ratios are recorded. The thread pool
 // must pay for itself: 4 lanes re-solve 64K flows at least 1.5x faster
 // than 1 lane. The thread sweep runs in three rounds too; each round
 // times a raw std::thread calibration (perfbench's integer kernel) at 1
-// and 4 threads and then the 64K re-solve at every lane count, a sweep
-// point reads the median of its rounds, and the gate reads the median
-// 4-lane/1-lane speedup over the rounds whose calibration shows this host
+// and 4 threads, then the 64K re-solve at every lane count, then the
+// calibration again. A sweep point reads the median of its rounds, and
+// the gate reads the median 4-lane/1-lane speedup over the rounds whose
+// calibrations before and after the re-solves both show this host
 // running 4 threads at least 2.5x faster than 1 (skipped when none does).
 // Writes BENCH_fluid.json (path = argv[1], default ./BENCH_fluid.json)
 // so the repo keeps a perf trajectory; bench/run_bench.sh drives it from
@@ -219,7 +221,8 @@ struct SweepPoint {
 
 struct ThreadSweep {
   std::vector<SweepPoint> points;
-  std::vector<Calibration> calibration;  ///< One per round.
+  std::vector<Calibration> before;  ///< Per round, timed before its re-solves.
+  std::vector<Calibration> after;   ///< Per round, timed after them.
   /// Per round: the 1-lane over the 4-lane re-solve time; 0 when the
   /// sweep lacks 1 or 4 threads.
   std::vector<double> pool_speedup_4;
@@ -227,10 +230,10 @@ struct ThreadSweep {
 
 // Steady-state re-solve latency at `flows` for each thread count (same
 // workload, solver configured with N lanes), in kSweepRounds rounds. Each
-// round first times the raw-thread calibration once at 1 and at 4
-// threads, so a round's pool speedup and the host's raw-thread speedup
-// are measured seconds apart. Thread count must not change the rates
-// (asserted bitwise elsewhere), only the wall clock.
+// round times the raw-thread calibration once at 1 and at 4 threads
+// before its re-solves and once after, so a host that gets busy while the
+// re-solves run shows in the round's own calibration. Thread count must
+// not change the rates (asserted bitwise elsewhere), only the wall clock.
 ThreadSweep thread_sweep(topo::Fabric& fabric, int flows, const std::vector<int>& thread_counts) {
   constexpr int kSweepRounds = 3;
   constexpr std::uint64_t kSpinIters = 40'000'000;
@@ -241,8 +244,7 @@ ThreadSweep thread_sweep(topo::Fabric& fabric, int flows, const std::vector<int>
     sweep.points.back().threads = threads;
   }
   for (int round = 1; round <= kSweepRounds; ++round) {
-    const Calibration calib{spin_ms(1, kSpinIters), spin_ms(4, kSpinIters)};
-    sweep.calibration.push_back(calib);
+    sweep.before.push_back({spin_ms(1, kSpinIters), spin_ms(4, kSpinIters)});
     double us_1 = 0.0;
     double us_4 = 0.0;
     for (SweepPoint& sp : sweep.points) {
@@ -264,9 +266,13 @@ ThreadSweep thread_sweep(topo::Fabric& fabric, int flows, const std::vector<int>
       std::printf("sweep round %d: threads=%2d  flows=%6d  solve=%8.1fus\n", round, sp.threads,
                   flows, us);
     }
+    sweep.after.push_back({spin_ms(1, kSpinIters), spin_ms(4, kSpinIters)});
     sweep.pool_speedup_4.push_back(us_1 > 0 && us_4 > 0 ? us_1 / us_4 : 0.0);
-    std::printf("sweep round %d: raw-thread calibration %.2fx, 4-lane pool speedup %.2fx\n",
-                round, calib.speedup(), sweep.pool_speedup_4.back());
+    std::printf(
+        "sweep round %d: raw-thread calibration %.2fx before, %.2fx after; 4-lane pool "
+        "speedup %.2fx\n",
+        round, sweep.before.back().speedup(), sweep.after.back().speedup(),
+        sweep.pool_speedup_4.back());
   }
   for (SweepPoint& sp : sweep.points) sp.solve_us = median(sp.solve_us_rounds);
   return sweep;
@@ -366,9 +372,11 @@ int main(int argc, char** argv) {
   const ThreadSweep thread_rounds = thread_sweep(fabric, 65536, thread_counts);
   const std::vector<SweepPoint>& sweep = thread_rounds.points;
   std::vector<double> one_lane_ms, four_lanes_ms;
-  for (const Calibration& c : thread_rounds.calibration) {
-    one_lane_ms.push_back(c.one_lane_ms);
-    four_lanes_ms.push_back(c.four_lanes_ms);
+  for (const auto* timings : {&thread_rounds.before, &thread_rounds.after}) {
+    for (const Calibration& c : *timings) {
+      one_lane_ms.push_back(c.one_lane_ms);
+      four_lanes_ms.push_back(c.four_lanes_ms);
+    }
   }
   const Calibration calib{median(one_lane_ms), median(four_lanes_ms)};
   std::printf("raw-thread calibration (median of rounds): 1 lane %.1fms, 4 lanes %.1fms (%.2fx)\n",
@@ -388,9 +396,9 @@ int main(int argc, char** argv) {
     if (p.flows == 1048576 && p.run_ms_end_to_end > 0) point_1m = true;
     total_steady_allocs += p.steady_state_allocs;
   }
-  // 16x the flows may cost at most 2x linear end to end: the median of
-  // the per-round ratios.
-  constexpr double kMaxEndToEndRatio1m64k = 32.0;
+  // 16x the flows may cost at most 30x end to end: the median of the
+  // per-round ratios.
+  constexpr double kMaxEndToEndRatio1m64k = 30.0;
   const double e2e_ratio = point_64k && point_1m ? median(ratios) : 0.0;
   // Speedup vs the reference at 64K, using the sweep's >=4-thread
   // configurations (falling back to the scaling point's own number when
@@ -406,13 +414,17 @@ int main(int argc, char** argv) {
     total_steady_allocs += sp.steady_state_allocs;
   }
   // 1-lane / 4-lane 64K re-solve: the median over the rounds whose own
-  // raw-thread calibration reached kPoolGateCalibration.
+  // raw-thread calibrations, before and after the re-solves, both reached
+  // kPoolGateCalibration.
   constexpr double kPoolSpeedupRequired = 1.5;
   constexpr double kPoolGateCalibration = 2.5;
   std::vector<double> gated;
+  std::vector<double> round_calibration;  ///< Per round, the lower of the two.
   double best_calibration = 0.0;
-  for (std::size_t r = 0; r < thread_rounds.calibration.size(); ++r) {
-    const double raw = thread_rounds.calibration[r].speedup();
+  for (std::size_t r = 0; r < thread_rounds.before.size(); ++r) {
+    const double raw =
+        std::min(thread_rounds.before[r].speedup(), thread_rounds.after[r].speedup());
+    round_calibration.push_back(raw);
     best_calibration = std::max(best_calibration, raw);
     if (raw >= kPoolGateCalibration) gated.push_back(thread_rounds.pool_speedup_4[r]);
   }
@@ -424,9 +436,9 @@ int main(int argc, char** argv) {
   if (!has_1_and_4) {
     pool_status = "skipped: the thread sweep lacks 1 or 4 threads";
   } else if (gated.empty()) {
-    char why[112];
+    char why[128];
     std::snprintf(why, sizeof why,
-                  "skipped: no round's raw 4-lane calibration reached %.1fx (best %.2fx)",
+                  "skipped: no round's raw 4-lane calibrations both reached %.1fx (best %.2fx)",
                   kPoolGateCalibration, best_calibration);
     pool_status = why;
   } else {
@@ -487,7 +499,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"thread_sweep\": {\"flows\": 65536, \"solve_us\": \"median of %zu rounds\", "
                "\"points\": [\n",
-               thread_rounds.calibration.size());
+               thread_rounds.before.size());
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     std::fprintf(f, "    {\"threads\": %d, \"solve_us\": %.2f, \"solve_us_rounds\": [",
                  sweep[i].threads, sweep[i].solve_us);
@@ -499,11 +511,18 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]},\n");
   std::fprintf(f,
                "  \"calibration\": {\"kernel\": \"xorshift integer spin on raw "
-               "std::threads, as perfbench; one trial per sweep round\", \"one_lane_ms\": %.2f, "
-               "\"four_lanes_ms\": %.2f, \"lane_speedup\": %.2f, \"lane_speedup_rounds\": [",
+               "std::threads, as perfbench; one trial before and one after each sweep "
+               "round's re-solves\", \"one_lane_ms\": %.2f, \"four_lanes_ms\": %.2f, "
+               "\"lane_speedup\": %.2f, \"lane_speedup_rounds\": [",
                calib.one_lane_ms, calib.four_lanes_ms, calib.speedup());
+  print_list(round_calibration);
+  std::fprintf(f, "], \"lane_speedup_before_rounds\": [");
   std::vector<double> raw_rounds;
-  for (const Calibration& c : thread_rounds.calibration) raw_rounds.push_back(c.speedup());
+  for (const Calibration& c : thread_rounds.before) raw_rounds.push_back(c.speedup());
+  print_list(raw_rounds);
+  std::fprintf(f, "], \"lane_speedup_after_rounds\": [");
+  raw_rounds.clear();
+  for (const Calibration& c : thread_rounds.after) raw_rounds.push_back(c.speedup());
   print_list(raw_rounds);
   std::fprintf(f, "]},\n");
   std::fprintf(f, "  \"criteria\": {\n");
