@@ -38,7 +38,7 @@ struct FlowState {
   core::Seconds finish = -1.0;  ///< Completion time; <0 while active.
   bool admitted = false;  ///< False when routing failed (unreachable).
   /// True once the event loop admitted it at its start: it then sits in
-  /// the active set, not the pending heap.
+  /// the active set, not the arrival queue.
   bool started = false;
   /// True when the flow was torn down before completing (its sender
   /// died, or no surviving route existed after a reroute). Aborted flows

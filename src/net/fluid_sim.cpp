@@ -17,15 +17,22 @@ namespace astral::net {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Heap order of pending arrivals: earliest start on top, then the lowest
-// id, so flows that start together are admitted in injection order
-// whatever else is pending.
-struct LaterStart {
+// Queue order of pending arrivals: the earlier start, then the lower id,
+// so flows that start together are admitted in injection order whatever
+// else is pending.
+struct EarlierStart {
   template <typename P>
   bool operator()(const P& a, const P& b) const {
-    return a.start > b.start || (a.start == b.start && a.id > b.id);
+    return a.start < b.start || (a.start == b.start && a.id < b.id);
   }
 };
+
+// Makes room for `n` more elements, growing geometrically, so a wave of
+// injections moves each per-flow table at most once.
+template <typename V>
+void reserve_more(V& v, std::size_t n) {
+  if (v.capacity() - v.size() < n) v.reserve(std::max(v.size() + n, 2 * v.capacity()));
+}
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -88,7 +95,7 @@ std::optional<std::vector<topo::LinkId>> FluidSim::predict_path(const FlowSpec& 
   return router_.route(spec, router_.tuple_for(spec));
 }
 
-FlowId FluidSim::inject_impl(const FlowSpec& spec, bool fix_heap) {
+FlowId FluidSim::inject_impl(const FlowSpec& spec) {
   FlowState st;
   st.spec = spec;
   st.tuple = router_.tuple_for(spec);
@@ -105,26 +112,59 @@ FlowId FluidSim::inject_impl(const FlowSpec& spec, bool fix_heap) {
   FlowId id = static_cast<FlowId>(flows_.size());
   flows_.push_back(std::move(st));
   drain_.push_back({static_cast<double>(spec.size), 0.0, spec.start});
-  if (flows_.back().admitted) {
-    pending_.push_back({spec.start, id});
-    if (fix_heap) std::push_heap(pending_.begin(), pending_.end(), LaterStart{});
+  rank_.push_back(0);
+  return id;
+}
+
+FlowId FluidSim::inject(const FlowSpec& spec) {
+  const FlowId id = inject_impl(spec);
+  if (flows_[id].admitted) {
+    // Its id is the highest, so its place is after every queued entry
+    // that starts no later.
+    const auto at = std::upper_bound(
+        pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_), pending_.end(), spec.start,
+        [](core::Seconds start, const Pending& p) { return start < p.start; });
+    pending_.insert(at, {spec.start, id});
   }
   return id;
 }
 
-FlowId FluidSim::inject(const FlowSpec& spec) { return inject_impl(spec, true); }
-
 std::vector<FlowId> FluidSim::inject_batch(std::span<const FlowSpec> specs) {
   std::vector<FlowId> ids;
   ids.reserve(specs.size());
-  const std::size_t before = pending_.size();
-  for (const FlowSpec& s : specs) ids.push_back(inject_impl(s, false));
-  if (pending_.size() != before) std::make_heap(pending_.begin(), pending_.end(), LaterStart{});
+  reserve_more(flows_, specs.size());
+  reserve_more(drain_, specs.size());
+  reserve_more(rank_, specs.size());
+  reserve_more(pending_, specs.size());
+  const auto head = static_cast<std::ptrdiff_t>(pending_head_);
+  const auto tail = static_cast<std::ptrdiff_t>(pending_.size());
+  for (const FlowSpec& s : specs) {
+    ids.push_back(inject_impl(s));
+    if (flows_[ids.back()].admitted) pending_.push_back({s.start, ids.back()});
+  }
+  // A wave in start order that starts no earlier than the queued tail is
+  // in place already; any other is sorted and merged into the queue.
+  const auto wave = pending_.begin() + tail;
+  if (!std::is_sorted(tail > head ? wave - 1 : wave, pending_.end(), EarlierStart{})) {
+    std::sort(wave, pending_.end(), EarlierStart{});
+    std::inplace_merge(pending_.begin() + head, wave, pending_.end(), EarlierStart{});
+  }
   return ids;
+}
+
+void FluidSim::drop_admitted() {
+  if (pending_head_ == pending_.size()) {
+    pending_.clear();
+    pending_head_ = 0;
+  } else if (pending_head_ > pending_.size() / 2) {
+    pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_));
+    pending_head_ = 0;
+  }
 }
 
 void FluidSim::admit(FlowId id) {
   flows_[id].started = true;
+  rank_[id] = next_rank_++;
   drain_[id].since = now_;
   active_.push_back(id);
   ++live_;
@@ -379,14 +419,13 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
     // Admit everything that has started, as one batch (same-start waves
     // from collectives collapse into a single solve).
     admitted_batch_.clear();
-    while (!pending_.empty() && pending_.front().start <= now_) {
-      std::pop_heap(pending_.begin(), pending_.end(), LaterStart{});
-      const FlowId id = pending_.back().id;
-      pending_.pop_back();
+    while (has_pending() && pending_[pending_head_].start <= now_) {
+      const FlowId id = pending_[pending_head_++].id;
       admit(id);
       admitted_batch_.push_back(id);
     }
     if (!admitted_batch_.empty()) {
+      drop_admitted();
       if (!solve_pending_ && batch_is_island(admitted_batch_)) {
         // Arrivals land on links nobody else uses: solve just the wave,
         // existing water-filling levels stay valid.
@@ -404,11 +443,11 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
       // The last completion or abort retired every row, so the clock
       // jumps below integrate nothing.
       assert(live_links_.empty());
-      if (pending_.empty()) {
+      if (!has_pending()) {
         if (is_bounded(until) && now_ < until) now_ = until;
         return;
       }
-      const core::Seconds next = pending_.front().start;
+      const core::Seconds next = pending_[pending_head_].start;
       if (next > until) {
         now_ = until;
         return;
@@ -420,7 +459,7 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
     // The next event is the earliest shard finish, the next arrival or
     // the deadline, taken as an absolute time.
     const core::Seconds t_finish = shard_->next_finish();
-    const core::Seconds t_arrival = pending_.empty() ? kInf : pending_.front().start;
+    const core::Seconds t_arrival = has_pending() ? pending_[pending_head_].start : kInf;
     if (!std::isfinite(std::min(t_finish, t_arrival)) && !is_bounded(until)) {
       // Every active flow is stalled (blocked links) and nothing else is
       // due: a fail-hang. A bounded run parks at its deadline below; with
@@ -563,8 +602,8 @@ FluidSim::RerouteReport FluidSim::reroute_flows() {
 
   // Pending flows pinned their paths at injection; refresh dead ones so
   // they are not admitted onto a link that died while they queued.
-  for (const Pending& p : pending_) {
-    const FlowId id = p.id;
+  for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
+    const FlowId id = pending_[i].id;
     FlowState& f = flows_[id];
     if (f.path.empty() || !path_dead(f)) continue;
     auto path = router_.route(f.spec, f.tuple);
@@ -633,12 +672,10 @@ void FluidSim::abort_flow(FlowId id) {
     }
     return;
   }
-  auto p = std::find_if(pending_.begin(), pending_.end(),
-                        [id](const Pending& e) { return e.id == id; });
-  if (p != pending_.end()) {
-    pending_.erase(p);
-    std::make_heap(pending_.begin(), pending_.end(), LaterStart{});
-  }
+  // Still queued: its entry leaves the queue in place.
+  const auto p = std::lower_bound(pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_),
+                                  pending_.end(), Pending{f.spec.start, id}, EarlierStart{});
+  if (p != pending_.end() && p->id == id) pending_.erase(p);
 }
 
 void FluidSim::recycle_finished() {
@@ -671,7 +708,9 @@ core::Bytes FluidSim::backlog() const {
   for (FlowId id : active_) {
     if (is_live(id)) total += remaining(id);
   }
-  for (const Pending& p : pending_) total += drain_[p.id].remaining;
+  for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
+    total += drain_[pending_[i].id].remaining;
+  }
   return static_cast<core::Bytes>(total);
 }
 

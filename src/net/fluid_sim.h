@@ -100,13 +100,16 @@ class FluidSim {
 
   /// Injects a flow; routing happens immediately (paths are pinned at QP
   /// creation, matching per-flow ECMP). Returns the flow id; the flow's
-  /// `admitted` flag is false when no fabric route exists.
+  /// `admitted` flag is false when no fabric route exists. The arrival
+  /// takes its (start, id) place in the queue by binary search: an append
+  /// when it starts no earlier than every queued flow.
   FlowId inject(const FlowSpec& spec);
 
-  /// Injects a whole wave in one call: per-spec routing, but a single
-  /// heap fix-up instead of one push per flow. Collectives emit their
-  /// same-start waves through this so admission and the first solve are
-  /// batched (the arrival-side mirror of completion batching).
+  /// Injects a whole wave in one call: per-spec routing, then the wave
+  /// joins the arrival queue in one step, appended when it is in start
+  /// order after the queued tail, else sorted and merged. Collectives emit
+  /// their same-start waves through this so admission and the first solve
+  /// are batched (the arrival-side mirror of completion batching).
   std::vector<FlowId> inject_batch(std::span<const FlowSpec> specs);
 
   /// Predicts the path a spec would take without injecting it — the
@@ -121,7 +124,7 @@ class FluidSim {
   void run_watch(std::span<const FlowId> watch, core::Seconds until = kRunForever);
 
   /// True when no active or pending flows remain.
-  bool idle() const { return live_ == 0 && pending_.empty(); }
+  bool idle() const { return live_ == 0 && !has_pending(); }
 
   core::Seconds now() const { return now_; }
   const FlowState& flow(FlowId id) const { return flows_[id]; }
@@ -274,8 +277,8 @@ class FluidSim {
   /// stalled with bytes left.
   static core::Seconds finish_of(const Drain& d);
 
-  /// A pending arrival. The start time rides along, so the heap orders
-  /// and pops entries without reading flows_.
+  /// A pending arrival. The start time rides along, so the queue orders
+  /// and admits entries without reading flows_.
   struct Pending {
     core::Seconds start;
     FlowId id;
@@ -316,9 +319,17 @@ class FluidSim {
     double pfc = 0.0;
   };
 
-  FlowId inject_impl(const FlowSpec& spec, bool fix_heap);
+  /// Routes a spec and adds its flow; the caller queues its arrival.
+  FlowId inject_impl(const FlowSpec& spec);
+  /// True while some arrival is queued.
+  bool has_pending() const { return pending_head_ < pending_.size(); }
+  /// Drops the admitted prefix of the arrival queue once it passes half
+  /// the vector (or is all of it): O(1) amortized per admission.
+  void drop_admitted();
   void run_impl(core::Seconds until, std::span<const FlowId> watch);
   bool all_finished(std::span<const FlowId> watch) const;
+  /// Moves a queued flow into the active set and stamps its admission
+  /// rank.
   void admit(FlowId id);
   /// True while a flow holds bandwidth: admitted, not finished or aborted.
   bool is_live(FlowId id) const { return flows_[id].finish < 0 && !flows_[id].aborted; }
@@ -390,10 +401,22 @@ class FluidSim {
   /// The active set in admission order, the solver's canonical order.
   /// Flows that finish or abort keep their slot until compact_active
   /// drops it (once they outnumber the live ones, or on active_flows()),
-  /// so removal never reorders the survivors.
+  /// so removal never reorders the survivors. It grows only at its end,
+  /// so it is always in rank_ order.
   mutable std::vector<FlowId> active_;
-  std::size_t live_ = 0;          ///< Live flows in active_.
-  std::vector<Pending> pending_;  ///< Min-heap by (start, id).
+  std::size_t live_ = 0;  ///< Live flows in active_.
+  /// Per flow (parallel to flows_): its admission rank, the order of its
+  /// admission among all flows. A flow is admitted at most once, so the
+  /// ranks of active_ ascend, and the solver merges per-shard flow lists
+  /// by rank into active-set order without scanning active_.
+  std::vector<std::uint32_t> rank_;
+  std::uint32_t next_rank_ = 0;
+  /// Queued arrivals, pending_[pending_head_..], sorted by (start, id):
+  /// admission takes the head, so flows that start together are admitted
+  /// in injection order whatever else is queued. The admitted prefix
+  /// before pending_head_ is dropped by drop_admitted.
+  std::vector<Pending> pending_;
+  std::size_t pending_head_ = 0;
 
   /// Folded counters; ECN and PFC counts are read from mass_. Only links
   /// in touched_ may be nonzero: every stats writer writes live links

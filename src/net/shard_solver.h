@@ -23,9 +23,11 @@
 // structure-dirty, a capacity change (degradation, link down/up) marks it
 // caps-dirty. The active set only grows at its end and loses flows in
 // place, so no change reorders another shard's flows. A solve first
-// *settles* the partition: the newly joined flows and the flows of
-// structure-dirty shards are collected in active-set order and
-// re-partitioned with a union-find (merges and splits fall out of this),
+// *settles* the partition: the newly joined flows and the surviving flows
+// of structure-dirty shards are collected in active-set order (each
+// dirty shard's own flow list and the joined list, merged by admission
+// rank, so a settle never walks the active set) and re-partitioned with
+// a union-find (merges and splits fall out of this),
 // the dirty shards' slots are recycled for the new shards, links left
 // without members are zeroed, and caps-dirty shards recompute their
 // capacity tier (per-link caps, offered demand, overloads, the initial
@@ -152,8 +154,11 @@ class ShardSolver {
   std::uint32_t uf_find(std::uint32_t x);
   void mark_dirty(std::uint32_t sid);
   /// Collects the flows to re-partition, in active-set order, into
-  /// collect_: every newly joined flow plus the flows of structure-dirty
-  /// shards.
+  /// collect_: every newly joined flow plus the surviving flows of the
+  /// structure-dirty shards, merged by admission rank. Costs
+  /// O(collected * log dirty shards) plus the departed entries of the
+  /// dirty shards' lists; it reads no active-set slot (builds without
+  /// NDEBUG also scan the active set and assert the same sequence).
   void collect_flows();
   /// Settles the partition (see the file comment) and lists the shards
   /// that need a solve in todo_.
@@ -180,6 +185,16 @@ class ShardSolver {
   std::vector<std::uint32_t> todo_;   ///< Slots the current solve solves.
   std::vector<FlowId> joined_;        ///< Flows joined since the last settle.
   std::vector<FlowId> collect_;       ///< Flows being re-partitioned.
+  /// A collect_flows merge cursor: a source list (a dirty shard's flows,
+  /// or joined_) at the position of its next survivor, and that flow's
+  /// admission rank.
+  struct Cursor {
+    std::uint32_t rank;
+    std::uint32_t src;
+    std::uint32_t pos;
+  };
+  std::vector<Cursor> merge_;         ///< collect_flows' cursor heap.
+  std::vector<FlowId> scan_check_;    ///< collect_flows' debug scan.
   std::vector<std::uint32_t> collect_off_;  ///< Their paths, CSR offsets...
   std::vector<topo::LinkId> collect_lnk_;   ///< ...and links in hop order.
   std::vector<topo::LinkId> orphans_;  ///< Links of retired shards.

@@ -1,6 +1,7 @@
 #include "topo/topology.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace astral::topo {
 
@@ -71,13 +72,12 @@ void Topology::set_link_state(LinkId id, bool up) {
 }
 
 void Topology::invalidate_routes() {
-  for (NodeId d : cached_dsts_) std::vector<int>().swap(route_cache_[d]);
+  for (NodeId d : cached_dsts_) route_cache_[d] = DestRoutes{};
   cached_dsts_.clear();
 }
 
-std::span<const int> Topology::distances(NodeId dst) const {
-  std::vector<int>& dist = route_cache_[dst];
-  if (!dist.empty()) return dist;
+std::span<const int> Topology::fill_distances(NodeId dst) const {
+  std::vector<int>& dist = route_cache_[dst].dist;
   dist.assign(nodes_.size(), -1);
   cached_dsts_.push_back(dst);
 
@@ -102,12 +102,32 @@ std::span<const int> Topology::distances(NodeId dst) const {
   return dist;
 }
 
+std::span<const std::uint16_t> Topology::fill_ecmp_span(NodeId from, NodeId dst) const {
+  const std::span<const int> dist = distances(dst);
+  DestRoutes& r = route_cache_[dst];
+  if (r.span_at.empty()) r.span_at.assign(nodes_.size(), kNoSpan);
+  const std::span<const LinkId> out = out_[from];
+  if (out.size() > 0xffff) {
+    throw std::length_error("Topology: a node with more than 65535 out-links routes traffic");
+  }
+  const auto at = static_cast<std::uint32_t>(r.ports.size());
+  r.ports.push_back(0);
+  if (dist[from] > 0) {
+    const int want = dist[from] - 1;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const Link& l = links_[out[i]];
+      if (l.up && dist[l.dst] == want) r.ports.push_back(static_cast<std::uint16_t>(i));
+    }
+  }
+  r.ports[at] = static_cast<std::uint16_t>(r.ports.size() - at - 1);
+  r.span_at[from] = at;
+  return {r.ports.data() + at + 1, r.ports[at]};
+}
+
 std::vector<LinkId> Topology::next_hops(NodeId from, NodeId dst) const {
   std::vector<LinkId> hops;
-  for_each_next_hop(from, distances(dst), [&](LinkId lid) {
-    hops.push_back(lid);
-    return false;
-  });
+  const std::span<const LinkId> out = out_[from];
+  for (std::uint16_t port : ecmp_ports(from, dst)) hops.push_back(out[port]);
   return hops;
 }
 
@@ -116,9 +136,10 @@ int Topology::distance(NodeId from, NodeId dst) const { return distances(dst)[fr
 std::vector<std::vector<LinkId>> Topology::shortest_paths(NodeId src, NodeId dst,
                                                           std::size_t limit) const {
   std::vector<std::vector<LinkId>> result;
-  const std::span<const int> dist = distances(dst);
-  if (dist[src] < 0) return result;
+  if (distances(dst)[src] < 0) return result;
   // DFS over the next-hop DAG; depth bounded by the shortest-path length.
+  // Each level iterates a copy of its span (next_hops): the recursion
+  // fills more spans toward dst, which may move the table.
   std::vector<LinkId> stack;
   auto dfs = [&](auto&& self, NodeId at) -> void {
     if (result.size() >= limit) return;
@@ -126,12 +147,12 @@ std::vector<std::vector<LinkId>> Topology::shortest_paths(NodeId src, NodeId dst
       result.push_back(stack);
       return;
     }
-    for_each_next_hop(at, dist, [&](LinkId lid) {
+    for (LinkId lid : next_hops(at, dst)) {
       stack.push_back(lid);
       self(self, links_[lid].dst);
       stack.pop_back();
-      return result.size() >= limit;
-    });
+      if (result.size() >= limit) return;
+    }
   };
   dfs(dfs, src);
   return result;

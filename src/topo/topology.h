@@ -2,6 +2,7 @@
 // destination-rooted shortest-path routing with ECMP candidate sets.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -62,29 +63,36 @@ class Topology {
   void set_link_state(LinkId id, bool up);
 
   /// Hop distance of every node to `dst` over up links (-1 where
-  /// unreachable), indexed by NodeId. Only distances are cached (O(nodes)
-  /// per destination, computed once); next hops are derived from them on
-  /// demand by for_each_next_hop. The span is valid until a node or link
-  /// is added or a link changes state.
-  std::span<const int> distances(NodeId dst) const;
+  /// unreachable), indexed by NodeId: O(nodes) per destination, computed
+  /// once and cached with the destination's next-hop table (ecmp_ports).
+  /// The span is valid until a node or link is added or a link changes
+  /// state.
+  std::span<const int> distances(NodeId dst) const {
+    const std::vector<int>& dist = route_cache_[dst].dist;
+    return dist.empty() ? fill_distances(dst) : dist;
+  }
 
-  /// Calls `f(link)` for each equal-cost next hop from `from` toward the
-  /// destination whose distance field is `dist` (from distances()): the
-  /// up out-links u->v with dist[v] == dist[u] - 1, in out_links order,
-  /// which is the ECMP candidate set. Stops once `f` returns true. Visits
-  /// nothing when `from` is the destination or cannot reach it.
-  template <class F>
-  void for_each_next_hop(NodeId from, std::span<const int> dist, F&& f) const {
-    if (dist[from] <= 0) return;
-    const int want = dist[from] - 1;
-    for (LinkId lid : out_[from]) {
-      const Link& l = links_[lid];
-      if (l.up && dist[l.dst] == want && f(lid)) return;
-    }
+  /// The ECMP candidate set from `from` toward `dst`, as positions in
+  /// out_links(from): the up out-links u->v with dist[v] == dist[u] - 1
+  /// (dist = distances(dst)), in out_links order. Empty when `from` is
+  /// `dst` or cannot reach it. The table fills lazily: a switch's span
+  /// toward a destination is built on its first query and kept beside
+  /// the destination's distance field, so routing a flow reads one span
+  /// per hop and pays the out-link scan once per (switch, destination).
+  /// A later query toward the same `dst` may move the table, so the span
+  /// is valid only until then (and until a node or link is added or a
+  /// link changes state); a reader that queries while it iterates copies
+  /// first, as next_hops does. Positions are 16-bit: building the span of
+  /// a node with more than 65535 out-links throws std::length_error.
+  std::span<const std::uint16_t> ecmp_ports(NodeId from, NodeId dst) const {
+    const DestRoutes& r = route_cache_[dst];
+    if (r.span_at.empty() || r.span_at[from] == kNoSpan) return fill_ecmp_span(from, dst);
+    const std::uint32_t at = r.span_at[from];
+    return {r.ports.data() + at + 1, r.ports[at]};
   }
 
   /// Equal-cost next-hop links from `from` toward destination node `dst`
-  /// (for_each_next_hop, collected). Empty when `dst` is unreachable.
+  /// (ecmp_ports, as link ids). Empty when `dst` is unreachable.
   std::vector<LinkId> next_hops(NodeId from, NodeId dst) const;
 
   /// Hop distance from `from` to `dst` over up links; -1 if unreachable.
@@ -105,8 +113,14 @@ class Topology {
   NodeId find(std::string_view name) const;
 
  private:
-  /// Frees every cached distance field; O(destinations cached).
+  /// Frees every cached distance field and next-hop table; O(destinations
+  /// cached).
   void invalidate_routes();
+  /// Computes dst's distance field into its cache entry and returns it.
+  std::span<const int> fill_distances(NodeId dst) const;
+  /// Builds the ECMP span of (from, dst) into dst's table (empty when
+  /// `from` is dst or cannot reach it) and returns it.
+  std::span<const std::uint16_t> fill_ecmp_span(NodeId from, NodeId dst) const;
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
@@ -119,9 +133,18 @@ class Topology {
   int rails_ = 0;
   int sides_ = 1;
 
-  // Per destination node: hops to it from every node, empty until
-  // computed. cached_dsts_ lists the nonempty entries.
-  mutable std::vector<std::vector<int>> route_cache_;
+  // One destination's routing state, empty until first asked for.
+  struct DestRoutes {
+    std::vector<int> dist;  ///< Hops to it from every node.
+    /// Per node: kNoSpan until its ECMP span is built, else the offset in
+    /// `ports` of its candidate count, which its candidates follow.
+    std::vector<std::uint32_t> span_at;
+    std::vector<std::uint16_t> ports;  ///< Counts and out_links positions.
+  };
+  static constexpr std::uint32_t kNoSpan = static_cast<std::uint32_t>(-1);
+
+  // Per destination node; cached_dsts_ lists those with a distance field.
+  mutable std::vector<DestRoutes> route_cache_;
   mutable std::vector<NodeId> cached_dsts_;
   mutable std::vector<NodeId> bfs_queue_;  ///< distances() scratch.
 };

@@ -255,5 +255,101 @@ TEST(RouterPin, FailuresMovePaths) {
   EXPECT_GT(rerouted, 0u);
 }
 
+// The next-hop tables fill lazily and must follow every link-state
+// change. Through a seeded sequence of link downs and ups, and a path link
+// degraded to zero followed by reroute_flows (which masks blackholed links
+// down and back up), every prediction, next_hops and shortest_paths equal
+// what a freshly built fabric in the same link state gives, and every
+// flow reroute_flows moved takes the path the fresh fabric predicts with
+// the blackholed link down. Once every link is restored, every prediction
+// equals the intact one. Each step predicts every spec first, so the
+// tables a change must drop are warm.
+TEST(RouterPin, RouteTablesFollowLinkState) {
+  for (const Instance& inst : instances()) {
+    SCOPED_TRACE(inst.name);
+    core::Rng rng(inst.seed + 1000);
+    topo::Fabric fabric(inst.params);
+    const topo::Topology& topo = fabric.topo();
+    FluidSim sim(fabric);
+    const std::vector<FlowSpec> specs = make_specs(fabric, rng, 96);
+    std::vector<std::optional<std::vector<topo::LinkId>>> intact;
+    for (const FlowSpec& s : specs) intact.push_back(sim.predict_path(s));
+
+    // A fresh fabric with the links that are down on `fabric` (plus
+    // `extra_down`) down.
+    auto fresh_fabric = [&](topo::LinkId extra_down) {
+      topo::Fabric fresh(inst.params);
+      for (std::size_t l = 0; l < topo.link_count(); ++l) {
+        const auto id = static_cast<topo::LinkId>(l);
+        if (!topo.link(id).up || id == extra_down) fresh.topo().set_link_state(id, false);
+      }
+      return fresh;
+    };
+    auto expect_fresh = [&](const std::string& step) {
+      SCOPED_TRACE(step);
+      topo::Fabric fresh = fresh_fabric(topo::kInvalidLink);
+      FluidSim fresh_sim(fresh);
+      for (const FlowSpec& s : specs) {
+        ASSERT_EQ(sim.predict_path(s), fresh_sim.predict_path(s));
+        ASSERT_EQ(topo.shortest_paths(s.src_host, s.dst_host, 16),
+                  fresh.topo().shortest_paths(s.src_host, s.dst_host, 16));
+        const auto from = static_cast<topo::NodeId>(rng.uniform_int(topo.node_count()));
+        ASSERT_EQ(topo.next_hops(from, s.dst_host), fresh.topo().next_hops(from, s.dst_host));
+      }
+    };
+    expect_fresh("intact");
+
+    // Downs: a middle hop of a routable prediction, then a random link,
+    // in alternation; then half of them come back up in random order.
+    std::vector<topo::LinkId> downs;
+    for (int k = 0; k < 6; ++k) {
+      topo::LinkId l = static_cast<topo::LinkId>(rng.uniform_int(topo.link_count()));
+      if (k % 2 == 0) {
+        const auto p = sim.predict_path(specs[rng.uniform_int(specs.size())]);
+        if (p) l = (*p)[p->size() / 2];
+      }
+      if (!topo.link(l).up) continue;
+      downs.push_back(l);
+      sim.set_link_up(l, false);
+      expect_fresh("down " + std::to_string(l));
+    }
+    for (std::size_t k = 0; k < downs.size() / 2; ++k) {
+      std::swap(downs[k], downs[k + rng.uniform_int(downs.size() - k)]);
+      sim.set_link_up(downs[k], true);
+      expect_fresh("up " + std::to_string(downs[k]));
+    }
+
+    // Live flows, a path link degraded to zero, then reroute_flows.
+    std::vector<FlowId> ids;
+    for (const FlowSpec& s : specs) {
+      if (ids.size() < 48 && sim.predict_path(s)) ids.push_back(sim.inject(s));
+    }
+    sim.run(1e-6);
+    ASSERT_FALSE(ids.empty());
+    const auto& hot = sim.flow(ids[rng.uniform_int(ids.size())]).path;
+    const topo::LinkId dead = hot[hot.size() / 2];
+    sim.degrade_link(dead, 0.0);
+    expect_fresh("degrade " + std::to_string(dead));
+    const FluidSim::RerouteReport rep = sim.reroute_flows();
+    {
+      topo::Fabric masked = fresh_fabric(dead);
+      FluidSim masked_sim(masked);
+      for (FlowId id : rep.rerouted) {
+        EXPECT_EQ(std::optional(sim.flow(id).path), masked_sim.predict_path(sim.flow(id).spec));
+      }
+      for (FlowId id : rep.stranded) EXPECT_FALSE(masked_sim.predict_path(sim.flow(id).spec));
+    }
+    expect_fresh("reroute around " + std::to_string(dead));
+
+    // Every link restored: the intact predictions.
+    sim.degrade_link(dead, 1.0);
+    for (topo::LinkId l : downs) sim.set_link_up(l, true);
+    expect_fresh("restored");
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(sim.predict_path(specs[i]), intact[i]) << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace astral::net

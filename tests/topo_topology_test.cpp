@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace astral::topo {
 namespace {
 
@@ -59,6 +61,24 @@ TEST_F(Diamond, LinkDownReroutes) {
   EXPECT_TRUE(topo.next_hops(h0, h3).empty());
   topo.set_link_state(l01, true);
   EXPECT_EQ(topo.distance(h0, h3), 2);
+}
+
+// A switch's ECMP span holds 16-bit positions into its out-links, so a
+// node that routes traffic may have at most 65535 of them: routing
+// through a wider one fails loudly instead of wrapping a position.
+TEST(Topology, RoutingThroughMoreThan65535OutLinksThrows) {
+  Topology topo;
+  const NodeId src = topo.add_node({.kind = NodeKind::Host, .name = "src"});
+  const NodeId hub = topo.add_node({.kind = NodeKind::Tor, .name = "hub"});
+  topo.add_link(src, hub, gbps(100));
+  NodeId last = kInvalidNode;
+  for (int i = 0; i <= 0xffff; ++i) {
+    last = topo.add_node({.kind = NodeKind::Host, .name = ""});
+    topo.add_link(hub, last, gbps(100));
+  }
+  EXPECT_EQ(topo.distance(src, last), 2);
+  EXPECT_EQ(topo.next_hops(src, last).size(), 1u);
+  EXPECT_THROW(topo.next_hops(hub, last), std::length_error);
 }
 
 TEST_F(Diamond, FindByName) {
