@@ -10,9 +10,10 @@
 // the reference solver is run over the live active set's paths and the
 // current effective capacities; every flow's rate must match to 1e-9
 // relative. The sweep runs on 1 and on 4 solver lanes with a metrics
-// registry attached, and asserts that arrival waves took the island path
-// often enough — pinning full solves, island solves, the detached-
-// completion fast path and the shard caches to the naive semantics.
+// registry attached, and pins how many full and island solves the sweep
+// runs: the island rule, the detached-completion fast path and the
+// solve-due rule decide those counts, so a change to any of them moves a
+// count even when every rate still matches.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -39,6 +40,8 @@ struct ScenarioStats {
   int batched = 0;
   std::size_t max_shards = 0;
   std::uint64_t island_solves = 0;
+  std::uint64_t full_solves = 0;
+  std::uint64_t solve_samples = 0;  ///< fluidsim.solve_us records.
 };
 
 void expect_rates_match(const FluidSim& sim, ScenarioStats& stats, int scenario) {
@@ -161,6 +164,9 @@ void run_randomized_sweep(const FluidSimConfig& cfg, int scenarios,
     ++stats.scenarios;
   }
   stats.island_solves = metrics.counter("fluidsim.solves.island");
+  stats.full_solves = metrics.counter("fluidsim.solves.full");
+  const obs::Histogram* h = metrics.find_histogram("fluidsim.solve_us");
+  stats.solve_samples = h != nullptr ? h->count() : 0;
 }
 
 TEST(SolverEquivalence, RandomizedScenariosMatchNaiveReference) {
@@ -175,8 +181,12 @@ TEST(SolverEquivalence, RandomizedScenariosMatchNaiveReference) {
   EXPECT_GT(stats.batched, 300);
   // Exact component sharding must split the constraint graph sometimes.
   EXPECT_GT(stats.max_shards, 1u);
-  // Arrival waves on otherwise unused links must take the island path.
-  EXPECT_GT(stats.island_solves, 1000u);
+  // The solve schedule: arrival waves on otherwise unused links take the
+  // island path, everything else waits for one full solve per event, and
+  // every timed solve records one sample.
+  EXPECT_EQ(stats.island_solves, 1172u);
+  EXPECT_EQ(stats.full_solves, 19398u);
+  EXPECT_EQ(stats.solve_samples, 20570u);
 }
 
 // The same sweep on 4 solver lanes: shards (full and island) solve
@@ -190,7 +200,9 @@ TEST(SolverEquivalence, ExactShardingOnFourLanesMatchesReference) {
   EXPECT_GT(stats.checkpoints, 500);
   EXPECT_GT(stats.rates_compared, 3000);
   EXPECT_GT(stats.max_shards, 1u);
-  EXPECT_GT(stats.island_solves, 250u);
+  EXPECT_EQ(stats.island_solves, 317u);
+  EXPECT_EQ(stats.full_solves, 4993u);
+  EXPECT_EQ(stats.solve_samples, 5310u);
 }
 
 // resolve_rates() must be idempotent: re-solving an unchanged active set
