@@ -30,7 +30,8 @@ struct FlowSpec {
 /// Runtime state of a flow. Its bytes left and current rate live in
 /// FluidSim's dense per-flow drain array instead (FluidSim::remaining and
 /// FluidSim::current_rate), so the shard publish and the completion
-/// check never touch this struct.
+/// check never touch this struct. Which flows cross which link is kept by
+/// the solver alone (net::ShardSolver), compiled from the flows' paths.
 struct FlowState {
   FlowSpec spec;
   FiveTuple tuple;
@@ -44,12 +45,6 @@ struct FlowState {
   /// died, or no surviving route existed after a reroute). Aborted flows
   /// hold no fabric bandwidth and never finish (finish stays < 0).
   bool aborted = false;
-
-  // Solver bookkeeping owned by FluidSim (see "Incremental max-min
-  // solver" in DESIGN.md). `member_pos[h]` is this flow's slot in the
-  // persistent member list of `path[h]`, enabling O(1) swap-removal on
-  // completion.
-  std::vector<std::uint32_t> member_pos;  ///< Parallel to `path`.
 };
 
 /// Per-link counters accumulated by the simulator; the physical-layer

@@ -74,11 +74,8 @@ FluidSim::FluidSim(topo::Fabric& fabric, Config cfg)
   for (std::size_t l = 0; l < nlinks; ++l) {
     effcap_[l] = fabric_.topo().link(static_cast<topo::LinkId>(l)).capacity;
   }
-  members_.resize(nlinks);
   live_pos_.assign(nlinks, kNotLive);
   pfc_sum_.assign(fabric_.topo().node_count(), 0.0);
-  mark_epoch_.assign(nlinks, 0);
-  mark_count_.assign(nlinks, 0);
   shard_ = std::make_unique<ShardSolver>(*this);
 }
 
@@ -86,9 +83,8 @@ FluidSim::~FluidSim() = default;
 
 std::size_t FluidSim::solver_shard_count() const { return shard_->shard_count(); }
 
-void FluidSim::debug_set_epoch_counters(std::uint64_t value) {
-  mark_epoch_counter_ = value;
-  shard_->debug_set_epoch_counter(value);
+void FluidSim::debug_set_build_epoch(std::uint64_t value) {
+  shard_->debug_set_build_epoch(value);
 }
 
 std::optional<std::vector<topo::LinkId>> FluidSim::predict_path(const FlowSpec& spec) const {
@@ -103,8 +99,6 @@ FlowId FluidSim::inject_impl(const FlowSpec& spec) {
   if (path) {
     st.path = std::move(*path);
     st.admitted = true;
-    // Membership slots are sized here so admission is allocation-free.
-    st.member_pos.resize(st.path.size());
   } else {
     st.admitted = false;
     st.finish = spec.start;  // Unroutable: surfaces immediately to caller.
@@ -168,7 +162,7 @@ void FluidSim::admit(FlowId id) {
   drain_[id].since = now_;
   active_.push_back(id);
   ++live_;
-  add_member(id);
+  shard_->flow_joined(id);
 }
 
 core::Seconds FluidSim::finish_of(const Drain& d) {
@@ -190,56 +184,6 @@ void FluidSim::leave_active(std::size_t n) {
   // Dropping the slots once they outnumber the live flows costs O(1)
   // amortized per departure.
   if (active_.size() - live_ > live_) compact_active();
-}
-
-void FluidSim::add_member(FlowId id) {
-  FlowState& f = flows_[id];
-  for (std::uint32_t h = 0; h < f.path.size(); ++h) {
-    topo::LinkId l = f.path[h];
-    f.member_pos[h] = static_cast<std::uint32_t>(members_[l].size());
-    members_[l].push_back({id, h});
-  }
-  shard_->flow_joined(id);
-}
-
-void FluidSim::remove_member(FlowId id) {
-  shard_->flow_left(id);
-  FlowState& f = flows_[id];
-  for (std::uint32_t h = 0; h < f.path.size(); ++h) {
-    auto& mem = members_[f.path[h]];
-    const std::uint32_t pos = f.member_pos[h];
-    const Member moved = mem.back();
-    mem[pos] = moved;
-    flows_[moved.flow].member_pos[moved.hop] = pos;
-    mem.pop_back();
-  }
-}
-
-bool FluidSim::batch_is_island(std::span<const FlowId> batch) {
-  // Member lists hold active flows only, so a batch that is the whole
-  // active set is all its links carry.
-  if (batch.size() == live_) return true;
-  if (++mark_epoch_counter_ == 0) {
-    // Counter wrapped: ancient stamps could alias it. Reset and restart
-    // above the cleared value.
-    std::fill(mark_epoch_.begin(), mark_epoch_.end(), 0);
-    mark_epoch_counter_ = 1;
-  }
-  for (FlowId id : batch) {
-    for (topo::LinkId l : flows_[id].path) {
-      if (mark_epoch_[l] != mark_epoch_counter_) {
-        mark_epoch_[l] = mark_epoch_counter_;
-        mark_count_[l] = 0;
-      }
-      ++mark_count_[l];
-    }
-  }
-  for (FlowId id : batch) {
-    for (topo::LinkId l : flows_[id].path) {
-      if (members_[l].size() != mark_count_[l]) return false;
-    }
-  }
-  return true;
 }
 
 void FluidSim::add_live(topo::LinkId l) {
@@ -381,7 +325,6 @@ void FluidSim::solve_full(bool every_shard) {
   if (metrics_) metrics_->add("fluidsim.solves.full");
   const auto scope = every_shard ? ShardSolver::Scope::All : ShardSolver::Scope::Full;
   timed_solve(solve_hist_, [this, scope] { shard_->solve(scope); });
-  solve_pending_ = false;
   if (peaks_reset_) {
     // A full solve leaves every link that carries flows with a peak at
     // least its published overload. Solved shards raised theirs; after
@@ -394,8 +337,10 @@ void FluidSim::solve_full(bool every_shard) {
 }
 
 void FluidSim::finish_pending_solve() {
-  if (solve_pending_ && live_ > 0) solve_full();
+  if (live_ > 0 && shard_->solve_due()) solve_full();
 }
+
+bool FluidSim::rates_current() const { return live_ == 0 || !shard_->solve_due(); }
 
 void FluidSim::resolve_rates() { solve_full(/*every_shard=*/true); }
 
@@ -408,31 +353,29 @@ bool FluidSim::all_finished(std::span<const FlowId> watch) const {
   return true;
 }
 
-void FluidSim::run(core::Seconds until) { run_impl(until, {}); }
+void FluidSim::run(core::Seconds until) { run_watch({}, until); }
 
 void FluidSim::run_watch(std::span<const FlowId> watch, core::Seconds until) {
   run_impl(until, watch);
+  assert(rates_current());
 }
 
 void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
   while (true) {
-    // Admit everything that has started, as one batch (same-start waves
+    // Admit everything that has started, as one wave (same-start waves
     // from collectives collapse into a single solve).
-    admitted_batch_.clear();
+    const std::size_t first = pending_head_;
     while (has_pending() && pending_[pending_head_].start <= now_) {
-      const FlowId id = pending_[pending_head_++].id;
-      admit(id);
-      admitted_batch_.push_back(id);
+      admit(pending_[pending_head_++].id);
     }
-    if (!admitted_batch_.empty()) {
+    if (pending_head_ != first) {
       drop_admitted();
-      if (!solve_pending_ && batch_is_island(admitted_batch_)) {
+      if (shard_->wave_is_island()) {
         // Arrivals land on links nobody else uses: solve just the wave,
-        // existing water-filling levels stay valid.
+        // existing water-filling levels stay valid. Any other wave leaves
+        // a solve due, which the solve point below runs.
         if (metrics_) metrics_->add("fluidsim.solves.island");
         timed_solve(solve_hist_, [this] { shard_->solve(ShardSolver::Scope::Silent); });
-      } else {
-        solve_pending_ = true;
       }
     }
     if (!watch.empty() && all_finished(watch)) {
@@ -455,7 +398,7 @@ void FluidSim::run_impl(core::Seconds until, std::span<const FlowId> watch) {
       now_ = next;
       continue;
     }
-    if (solve_pending_) solve_full();
+    if (shard_->solve_due()) solve_full();
     // The next event is the earliest shard finish, the next arrival or
     // the deadline, taken as an absolute time.
     const core::Seconds t_finish = shard_->next_finish();
@@ -483,6 +426,7 @@ void FluidSim::complete_due() {
   // Completions within the epsilon window of a due shard finish with it
   // (symmetric collectives finish whole waves at once); batching never
   // crosses shards.
+  assert(!shard_->solve_due());  // the detached rule reads a settled partition
   completed_batch_.clear();
   shard_->pop_due(now_, cfg_.completion_epsilon, completed_batch_);
   if (completed_batch_.empty()) return;
@@ -502,27 +446,14 @@ void FluidSim::complete_due() {
                     now_ - f.spec.start, k, static_cast<double>(f.spec.size));
     }
   }
-  for (FlowId id : completed_batch_) remove_member(id);
+  for (FlowId id : completed_batch_) shard_->flow_left(id);
   leave_active(completed_batch_.size());
-  // If the finished wave shared no link with surviving flows (its member
-  // lists are empty now, as when the fabric went idle), survivors keep
-  // their rates: settling only retires the wave's shards and zeroes their
-  // links, so the INT/pingmesh view reports no phantom queueing.
-  bool detached = true;
-  for (FlowId id : completed_batch_) {
-    for (topo::LinkId l : flows_[id].path) {
-      if (!members_[l].empty()) {
-        detached = false;
-        break;
-      }
-    }
-    if (!detached) break;
-  }
-  if (detached) {
-    shard_->solve(ShardSolver::Scope::Silent);
-  } else {
-    solve_pending_ = true;
-  }
+  // If the finished wave shared no link with surviving flows (its shards
+  // kept none, as when the fabric went idle), survivors keep their rates:
+  // settling only retires the wave's shards and zeroes their links, so
+  // the INT/pingmesh view reports no phantom queueing. Any other wave
+  // leaves a solve due, which the event loop runs at its solve point.
+  if (shard_->wave_is_detached()) shard_->solve(ShardSolver::Scope::Silent);
 }
 
 core::Seconds FluidSim::hop_latency(topo::LinkId id) const {
@@ -542,6 +473,7 @@ void FluidSim::degrade_link(topo::LinkId id, double factor) {
   refresh_util(id);
   shard_->link_changed(id);
   if (live_ > 0) solve_full();
+  assert(rates_current());
 }
 
 void FluidSim::set_link_up(topo::LinkId id, bool up) {
@@ -550,6 +482,7 @@ void FluidSim::set_link_up(topo::LinkId id, bool up) {
   refresh_util(id);
   shard_->link_changed(id);
   if (live_ > 0) solve_full();
+  assert(rates_current());
 }
 
 FluidSim::RerouteReport FluidSim::reroute_flows() {
@@ -585,17 +518,15 @@ FluidSim::RerouteReport FluidSim::reroute_flows() {
     if (!is_live(id)) continue;
     FlowState& f = flows_[id];
     if (f.path.empty() || !path_dead(f)) continue;
-    remove_member(id);
+    shard_->flow_left(id);
     set_rate(id, 0.0);
     auto path = router_.route(f.spec, f.tuple);
     if (path && path_alive(*path)) {
       f.path = std::move(*path);
-      f.member_pos.assign(f.path.size(), 0);
-      add_member(id);
+      shard_->flow_joined(id);
       rep.rerouted.push_back(id);
     } else {
       f.path.clear();
-      f.member_pos.clear();
       rep.stranded.push_back(id);
     }
   }
@@ -609,11 +540,9 @@ FluidSim::RerouteReport FluidSim::reroute_flows() {
     auto path = router_.route(f.spec, f.tuple);
     if (path && path_alive(*path)) {
       f.path = std::move(*path);
-      f.member_pos.assign(f.path.size(), 0);
       rep.rerouted.push_back(id);
     } else {
       f.path.clear();
-      f.member_pos.clear();
       rep.stranded.push_back(id);
     }
   }
@@ -640,6 +569,7 @@ FluidSim::RerouteReport FluidSim::reroute_flows() {
   if (live_ > 0 && !(rep.rerouted.empty() && rep.stranded.empty())) {
     solve_full();
   }
+  assert(rates_current());
   return rep;
 }
 
@@ -663,19 +593,20 @@ void FluidSim::abort_flow(FlowId id) {
     // It keeps the bytes it had left, and leaves the active set in place:
     // the survivors keep their order, so only its own shard re-solves.
     set_rate(id, 0.0);
-    if (!f.path.empty()) remove_member(id);
+    shard_->flow_left(id);
     leave_active(1);
     if (live_ == 0) {
       shard_->solve(ShardSolver::Scope::Silent);  // retires the last shard
     } else {
       solve_full();
     }
-    return;
+  } else {
+    // Still queued: its entry leaves the queue in place.
+    const auto p = std::lower_bound(pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_),
+                                    pending_.end(), Pending{f.spec.start, id}, EarlierStart{});
+    if (p != pending_.end() && p->id == id) pending_.erase(p);
   }
-  // Still queued: its entry leaves the queue in place.
-  const auto p = std::lower_bound(pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_),
-                                  pending_.end(), Pending{f.spec.start, id}, EarlierStart{});
-  if (p != pending_.end() && p->id == id) pending_.erase(p);
+  assert(rates_current());
 }
 
 void FluidSim::recycle_finished() {
@@ -683,8 +614,6 @@ void FluidSim::recycle_finished() {
     FlowState& f = flows_[id];
     f.path.clear();
     f.path.shrink_to_fit();
-    f.member_pos.clear();
-    f.member_pos.shrink_to_fit();
   }
   retired_.clear();
 }

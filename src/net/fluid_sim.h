@@ -17,13 +17,15 @@
 // keeps the active set split into independent bottleneck components
 // across events and progressive-fills each with a lazy min-heap. Around
 // it the simulator is incremental and allocation-free in steady state:
-// per-link membership is maintained by delta as flows arrive and finish,
-// and every membership or capacity change is reported to the solver, so a
-// solve re-solves only the components the change touched. An arrival wave
-// whose links carry no other flows is solved on its own (an island), and
-// a completion wave that shared no link with the survivors needs no solve
-// at all. See DESIGN.md §6 and §11; src/net/maxmin_ref.{h,cpp} retains the
-// naive solver as the equivalence oracle.
+// every membership or capacity change (arrival, completion, abort,
+// reroute, degradation) is reported to the solver, which alone records
+// which flows cross which link, so a solve re-solves only the components
+// the change touched. The solver's dirty state also says when a solve is
+// due: an arrival wave whose links carry no other flows is solved on its
+// own (an island), and a completion wave that shared no link with the
+// survivors needs no solve at all. See DESIGN.md §6 and §11;
+// src/net/maxmin_ref.{h,cpp} retains the naive solver as the equivalence
+// oracle.
 //
 // The drain is superposition-exact: an event costs the shards it touches,
 // and a flow's finish and a link's counters depend only on the traffic
@@ -80,9 +82,9 @@ struct FluidSimConfig {
   /// Worker lanes for shard solves (1 = inline, no threads spawned).
   /// Rates are bit-identical across any thread count.
   int solver_threads = 1;
-  /// Emit per-shard solve spans/counters/histogram for full solves when a
-  /// tracer or metrics registry is attached. Off by default, which keeps
-  /// wall-clock shard timings out of golden traces and metric snapshots.
+  /// Emit per-shard solve counters and a solve-time histogram for full
+  /// solves when a metrics registry is attached. Off by default, which
+  /// keeps wall-clock shard timings out of metric snapshots.
   bool shard_telemetry = false;
 };
 
@@ -243,22 +245,14 @@ class FluidSim {
   /// components of the active paths, as of the last solve (0 when idle).
   std::size_t solver_shard_count() const;
 
-  /// Test hook: fast-forwards both internal epoch counters (island-mark,
-  /// shard-build) so tests can exercise the wraparound reset paths
-  /// without 2^64 solves.
-  void debug_set_epoch_counters(std::uint64_t value);
+  /// Test hook: fast-forwards the solver's shard-build epoch, the one
+  /// epoch counter of the simulator, so tests can exercise its wraparound
+  /// reset without 2^64 builds.
+  void debug_set_build_epoch(std::uint64_t value);
 
  private:
   friend class ShardSolver;
   static constexpr std::uint32_t kNotLive = static_cast<std::uint32_t>(-1);
-
-  /// An entry in a link's persistent member list: which flow crosses the
-  /// link, and at which hop of its path (so swap-removal can fix the
-  /// displaced flow's member_pos in O(1)).
-  struct Member {
-    FlowId flow;
-    std::uint32_t hop;
-  };
 
   /// A flow's drain state, indexed by FlowId: bytes left at `since`, and
   /// the rate it has run at since then. The shard publish re-bases it
@@ -340,21 +334,15 @@ class FluidSim {
   void compact_active() const;
   /// Completes the flows of every shard whose earliest finish is due.
   void complete_due();
-  /// Adds the flow to the member lists of its path and reports it to the
-  /// solver; remove_member undoes both.
-  void add_member(FlowId id);
-  void remove_member(FlowId id);
-  /// True when every link the batch touches is used by batch flows only:
-  /// the batch forms its own constraint island and the rest of the active
-  /// set keeps its water-filling levels. O(1) when the batch is the whole
-  /// active set.
-  bool batch_is_island(std::span<const FlowId> batch);
   /// A full solve: re-solves the shards that changed since the last
   /// solve, or every shard when `every_shard` (resolve_rates).
   void solve_full(bool every_shard = false);
   /// Runs the full solve a run deferred, before run_impl returns with
   /// flows still active, so rates sampled between runs are current.
   void finish_pending_solve();
+  /// True when rates read now are current: no solve is due while flows
+  /// are live. Asserted wherever control returns to the caller.
+  bool rates_current() const;
   /// Appends a link to live_links_ unless it is already there, and
   /// touches it. A new row accrues from now.
   void add_live(topo::LinkId l);
@@ -430,7 +418,6 @@ class FluidSim {
   std::vector<double> effcap_;  ///< capacity * degrade, cached.
 
   // --- incremental solver state ---
-  std::vector<std::vector<Member>> members_;  ///< Per-link active flows.
   /// Links with published state: after each solve, exactly the links
   /// that carry flows. New links are appended (all zero until their
   /// shard publishes); a link whose last flow left is swap-removed, so
@@ -441,14 +428,9 @@ class FluidSim {
   /// Per node: the summed PFC excess of the live rows leaving it, which
   /// scales the PFC mark mass of each of its in-links with rate > 0.
   std::vector<double> pfc_sum_;
-  std::uint64_t mark_epoch_counter_ = 0;    ///< For batch_is_island.
-  std::vector<std::uint64_t> mark_epoch_;
-  std::vector<std::uint32_t> mark_count_;
-  std::vector<FlowId> admitted_batch_;   ///< Arrival staging (reused).
   std::vector<FlowId> completed_batch_;  ///< Completion staging (reused).
   std::vector<FlowId> retired_;  ///< Finished or aborted, path not yet freed.
-  bool solve_pending_ = false;  ///< Active rates stale; full solve due.
-  bool peaks_reset_ = false;    ///< reset_stats() ran; no full solve since.
+  bool peaks_reset_ = false;     ///< reset_stats() ran; no full solve since.
   std::unique_ptr<ShardSolver> shard_;  ///< The max-min solver.
 
   // --- observability (null = disabled; hooks cost one branch) ---

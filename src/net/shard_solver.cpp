@@ -5,11 +5,11 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "core/thread_pool.h"
 #include "net/fluid_sim.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace astral::net {
 
@@ -62,7 +62,7 @@ void ShardSolver::bump_build_epoch() {
   if (++build_epoch_ == 0) {
     // Wrapped: stale stamps from 2^64 builds ago could alias the counter.
     // Reset every stamp array and restart the counter above the reset
-    // value (see the matching guard in FluidSim::batch_is_island).
+    // value.
     std::fill(uf_stamp_.begin(), uf_stamp_.end(), 0);
     std::fill(root_stamp_.begin(), root_stamp_.end(), 0);
     std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
@@ -86,10 +86,7 @@ void ShardSolver::mark_dirty(std::uint32_t sid) {
 }
 
 void ShardSolver::flow_joined(FlowId id) {
-  if (flow_shard_.size() < sim_.flows_.size()) {
-    flow_shard_.resize(sim_.flows_.size(), kNoShard);
-    flow_local_.resize(sim_.flows_.size());
-  }
+  if (flow_shard_.size() < sim_.flows_.size()) flow_shard_.resize(sim_.flows_.size(), kNoShard);
   flow_shard_[id] = kJoined;
   joined_.push_back(id);
   for (topo::LinkId l : sim_.flows_[id].path) {
@@ -112,6 +109,11 @@ void ShardSolver::link_changed(topo::LinkId id) {
   if (s.caps_dirty) return;
   s.caps_dirty = true;
   caps_dirty_.push_back(sid);
+}
+
+bool ShardSolver::wave_is_detached() const {
+  return std::all_of(dirty_.begin(), dirty_.end(),
+                     [this](std::uint32_t sid) { return shards_[sid].live_flows == 0; });
 }
 
 void ShardSolver::collect_flows() {
@@ -237,7 +239,6 @@ void ShardSolver::compile_collected() {
     }
     const std::uint32_t sid = root_shard_[r];
     Shard& s = shards_[sid];
-    flow_local_[f] = static_cast<std::uint32_t>(s.flows.size());
     flow_shard_[f] = sid;
     s.flows.push_back(f);
     ++s.live_flows;
@@ -263,15 +264,23 @@ void ShardSolver::compile_collected() {
     s.path_off.push_back(static_cast<std::uint32_t>(s.path_lnk.size()));
     for (std::uint32_t& l : s.path_lnk) l = link_local_[l];
 
-    s.mem_off.clear();
-    s.mem_flow.clear();
-    for (topo::LinkId g : s.links) {
-      s.mem_off.push_back(static_cast<std::uint32_t>(s.mem_flow.size()));
-      for (const auto& m : sim_.members_[g]) {
-        s.mem_flow.push_back(flow_local_[m.flow]);
+    // The member CSR is a counting sort of the path CSR by link, so each
+    // link lists its flows in local (active-set) order. Any order gives
+    // the same bits: a freeze step gives every unfrozen member of the
+    // popped link the same level, so each link's remcap, unfrozen count
+    // and rate take the same operations in any member order.
+    s.mem_off.assign(nl + 1, 0);
+    for (std::uint32_t li : s.path_lnk) ++s.mem_off[li + 1];
+    std::partial_sum(s.mem_off.begin(), s.mem_off.end(), s.mem_off.begin());
+    s.mem_flow.resize(s.path_lnk.size());
+    for (std::uint32_t fi = 0; fi < nf; ++fi) {
+      for (std::uint32_t k = s.path_off[fi]; k < s.path_off[fi + 1]; ++k) {
+        s.mem_flow[s.mem_off[s.path_lnk[k]]++] = fi;
       }
     }
-    s.mem_off.push_back(static_cast<std::uint32_t>(s.mem_flow.size()));
+    // The fill moved each link's offset to its end, the next link's start.
+    std::copy_backward(s.mem_off.begin(), s.mem_off.end() - 1, s.mem_off.end());
+    s.mem_off[0] = 0;
 
     s.cap.resize(nl);
     s.demand.resize(nl);
@@ -461,23 +470,11 @@ void ShardSolver::run_shards(bool timed) {
 }
 
 void ShardSolver::emit_telemetry() {
-  if (sim_.metrics_ != nullptr) {
-    sim_.metrics_->add("fluidsim.solves.sharded");
-    sim_.metrics_->add("fluidsim.shards.solved", todo_.size());
-    sim_.metrics_->set_gauge("fluidsim.shards", static_cast<double>(shard_count()));
-    obs::Histogram& h = sim_.metrics_->histogram("fluidsim.shard_solve_us");
-    for (std::uint32_t sid : todo_) h.record(shards_[sid].solve_us);
-  }
-  if (sim_.tracer_ != nullptr) {
-    // Spans land on the Link track (FluidSim's infrastructure track);
-    // ts is simulation time, dur is wall-clock solve time in "sim
-    // microseconds" — a profiling aid, not a simulated duration.
-    for (std::uint32_t sid : todo_) {
-      sim_.tracer_->span(obs::Track::Link, "solver.shard", sim_.now_,
-                         shards_[sid].solve_us * 1e-6, {},
-                         static_cast<double>(shards_[sid].flows.size()));
-    }
-  }
+  sim_.metrics_->add("fluidsim.solves.sharded");
+  sim_.metrics_->add("fluidsim.shards.solved", todo_.size());
+  sim_.metrics_->set_gauge("fluidsim.shards", static_cast<double>(shard_count()));
+  obs::Histogram& h = sim_.metrics_->histogram("fluidsim.shard_solve_us");
+  for (std::uint32_t sid : todo_) h.record(shards_[sid].solve_us);
 }
 
 void ShardSolver::solve(Scope scope) {
@@ -488,8 +485,8 @@ void ShardSolver::solve(Scope scope) {
       if (shards_[sid].in_use) todo_.push_back(sid);
     }
   }
-  const bool telemetry = scope != Scope::Silent && sim_.cfg_.shard_telemetry &&
-                         (sim_.metrics_ != nullptr || sim_.tracer_ != nullptr);
+  const bool telemetry =
+      scope != Scope::Silent && sim_.cfg_.shard_telemetry && sim_.metrics_ != nullptr;
   run_shards(telemetry);
   for (std::uint32_t sid : todo_) {
     heap_update(sid, shards_[sid].next_finish);

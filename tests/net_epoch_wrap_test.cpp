@@ -1,12 +1,12 @@
-// Regression test for epoch-counter wraparound. The solver's scratch
-// state is keyed by monotonically increasing epoch stamps (island marks,
-// shard-structure builds) that are never cleared in steady state. When
-// a counter wraps to zero, a stamp written 2^64 increments ago could
-// alias the new epoch and corrupt a solve; each counter therefore
-// carries an explicit reset path. debug_set_epoch_counters()
-// fast-forwards every counter so a few waves push them across the wrap,
-// and the simulator must behave bitwise-identically to a twin that
-// never wrapped.
+// Regression test for epoch-counter wraparound. The solver's build
+// scratch (union-find, shard-root and seen-link stamps) is keyed by one
+// monotonically increasing epoch, bumped once per shard build and never
+// cleared in steady state. When it wraps to zero, a stamp written 2^64
+// builds ago could alias the new epoch and corrupt a solve, so the
+// counter carries an explicit reset path. debug_set_build_epoch()
+// fast-forwards it so a few waves push it across the wrap, and the
+// simulator must behave bitwise-identically to a twin that never
+// wrapped.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,9 +32,9 @@ topo::FabricParams fabric_params() {
   return p;
 }
 
-// A schedule that exercises every counter several times: disjoint waves
-// (island path → mark and build epochs), overlapping waves (full solves →
-// build epochs), and a mid-run degradation (caps rebuild).
+// A schedule that builds shards many times: disjoint waves (island
+// solves), overlapping waves (full solves), completions, and a mid-run
+// degradation (a caps rebuild, which builds nothing).
 std::vector<std::vector<double>> run_schedule(FluidSim& sim,
                                               const topo::Fabric& fabric) {
   auto hosts = fabric.topo().hosts();
@@ -77,11 +77,11 @@ TEST(EpochWrap, SolveAcrossWrapMatchesUnwrappedTwin) {
   topo::Fabric fabric_b(fabric_params());
   FluidSim normal(fabric_a);
   FluidSim wrapping(fabric_b);
-  // Three increments from the top: the first few solves straddle the
-  // wrap of every counter family. The first wave lands on an idle fabric,
-  // so it is the whole active set and skips the island marks; the mark
-  // counter wraps at the fifth wave, the fourth that marks.
-  wrapping.debug_set_epoch_counters(std::numeric_limits<std::uint64_t>::max() - 3);
+  // Three builds from the top: the fourth build (by the second run()
+  // checkpoint at the latest, one per admitted wave) wraps the epoch, so
+  // the first waves straddle the wrap and every later build starts from
+  // the reset stamps.
+  wrapping.debug_set_build_epoch(std::numeric_limits<std::uint64_t>::max() - 3);
 
   const auto want = run_schedule(normal, fabric_a);
   const auto got = run_schedule(wrapping, fabric_b);
@@ -97,14 +97,14 @@ TEST(EpochWrap, SolveAcrossWrapMatchesUnwrappedTwin) {
   }
 }
 
-// Wrapping must not poison later solves either: park the counters just
+// Wrapping must not poison later solves either: park the epoch just
 // below the wrap, run a full workload to completion, then re-solve and
 // check idempotence (stale stamps from before the wrap would produce a
 // different fixed point).
 TEST(EpochWrap, PostWrapResolveIsIdempotent) {
   topo::Fabric fabric(fabric_params());
   FluidSim sim(fabric);
-  sim.debug_set_epoch_counters(std::numeric_limits<std::uint64_t>::max() - 1);
+  sim.debug_set_build_epoch(std::numeric_limits<std::uint64_t>::max() - 1);
   auto hosts = fabric.topo().hosts();
   for (int i = 0; i < 32; ++i) {
     FlowSpec s;

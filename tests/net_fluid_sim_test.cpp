@@ -430,11 +430,10 @@ TEST(FluidSim, RecycleFinishedCampaignPreservesInvariants) {
       EXPECT_NEAR(duration, first_duration, first_duration * 1e-9);
     }
     sim.recycle_finished();
-    // Paths (and solver bookkeeping) freed for every finished flow.
+    // Paths freed for every finished flow.
     for (FlowId id : iter_ids) {
       EXPECT_TRUE(sim.flow(id).path.empty());
       EXPECT_EQ(sim.flow(id).path.capacity(), 0u);
-      EXPECT_TRUE(sim.flow(id).member_pos.empty());
     }
   }
   // Counters survive recycling: 100 iterations of 4x8MiB + 1x2MiB.
@@ -474,11 +473,9 @@ TEST(FluidSim, RecycleFinishedReleasesOnlyRetiredPaths) {
   for (FlowId id : {done, killed, dropped}) {
     EXPECT_TRUE(sim.flow(id).path.empty()) << "flow " << id;
     EXPECT_EQ(sim.flow(id).path.capacity(), 0u) << "flow " << id;
-    EXPECT_TRUE(sim.flow(id).member_pos.empty()) << "flow " << id;
   }
   for (FlowId id : {running, waiting}) {
     EXPECT_FALSE(sim.flow(id).path.empty()) << "flow " << id;
-    EXPECT_EQ(sim.flow(id).member_pos.size(), sim.flow(id).path.size()) << "flow " << id;
   }
 
   // The survivors still finish, and a second call frees them.
@@ -884,9 +881,10 @@ TEST(FluidSim, DeterministicAcrossRuns) {
 }
 
 // Shard telemetry is opt-in: with cfg.shard_telemetry the sharded solver
-// reports per-shard spans on the Link track plus shard counters and a
-// per-shard solve-time histogram.
-TEST(FluidSim, ShardTelemetryEmitsSpansAndCounters) {
+// reports shard counters and a per-shard solve-time histogram. It writes
+// no span: a wall-clock solve time does not belong on the sim-time Link
+// track, even with a tracer attached.
+TEST(FluidSim, ShardTelemetryEmitsCountersAndNoSpans) {
   auto f = small_fabric();
   FluidSimConfig cfg;
   cfg.shard_telemetry = true;
@@ -906,11 +904,10 @@ TEST(FluidSim, ShardTelemetryEmitsSpansAndCounters) {
   const obs::Histogram* h = metrics.find_histogram("fluidsim.shard_solve_us");
   ASSERT_NE(h, nullptr);
   EXPECT_GT(h->count(), 0u);
-  std::size_t shard_spans = 0;
+  EXPECT_GT(metrics.gauge("fluidsim.shards"), 1.0);
   for (const auto& ev : tracer.events(obs::Track::Link)) {
-    if (std::string_view(ev.name) == "solver.shard") ++shard_spans;
+    EXPECT_NE(std::string_view(ev.name), "solver.shard");
   }
-  EXPECT_GT(shard_spans, 0u);
   EXPECT_GT(sim.solver_shard_count(), 1u);
 }
 
